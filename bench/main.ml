@@ -7,7 +7,7 @@
 
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
-     sharded | tracefmt | tracefmt-decode | tracescale | telemetry | micro |
+     sharded | tracefmt | tracescale | telemetry | micro |
      ablation | repair | stealing | phases
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
@@ -406,15 +406,15 @@ let simspeed ~extra_shards () =
          ("streamed_v2", Json.List streamed) ])
 
 (* ------------------------------------------------------------------ *)
-(* Trace format v2: on-disk size, decode throughput, and the streamed
-   replay path.  File sizes and replay counts are pure functions of the
-   workload (the interpreter's schedule and the encoding are both
-   deterministic), so `tracefmt` sits inside the baseline gate; the
-   decode/replay timings are wall-clock and stay out of it.            *)
+(* The on-disk trace format: file size and the streamed replay path.
+   File sizes and replay counts are pure functions of the workload (the
+   interpreter's schedule and the encoding are both deterministic), so
+   `tracefmt` sits inside the baseline gate; the `tracescale` timings
+   are wall-clock and stay out of it.                                  *)
 
 let tracefmt () =
-  section "Trace format v2 - on-disk bytes vs v1, streamed counts identical \
-           (every workload, default scale, 128B)";
+  section "Trace format - on-disk bytes, streamed counts identical (every \
+           workload, default scale, 128B)";
   let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
   let rows = ref [] in
@@ -431,34 +431,25 @@ let tracefmt () =
         let reference =
           (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
         in
-        (* both formats must replay from disk to the exact in-memory
-           counts — the compression numbers only matter if the round
-           trip is lossless *)
-        let size_of format =
-          let path = tmp_trace w.name in
-          Ct.write_file ~format trace path;
-          let s = Ct.of_file_stream path in
-          let st = R.simulate_sharded_stream s ~shards:1 ~layout ~config in
-          assert (st.R.counts = reference);
-          let bytes = Ct.Stream.byte_size s in
-          Ct.Stream.close s;
-          Sys.remove path;
-          bytes
-        in
-        let v1 = size_of Ct.V1 in
-        let v2 = size_of Ct.V2 in
-        let ratio = float_of_int v1 /. float_of_int v2 in
-        let bpe = float_of_int v2 /. float_of_int (max 1 events) in
+        (* the file must replay from disk to the exact in-memory counts —
+           the size only matters if the round trip is lossless *)
+        let path = tmp_trace w.name in
+        Ct.write_file trace path;
+        let s = Ct.of_file_stream path in
+        let st = R.simulate_sharded_stream s ~shards:1 ~layout ~config in
+        assert (st.R.counts = reference);
+        let bytes = Ct.Stream.byte_size s in
+        Ct.Stream.close s;
+        Sys.remove path;
+        let bpe = float_of_int bytes /. float_of_int (max 1 events) in
         rows :=
-          [ w.name; string_of_int events; string_of_int v1; string_of_int v2;
-            Printf.sprintf "%.2fx" ratio; Printf.sprintf "%.2f" bpe; "yes" ]
+          [ w.name; string_of_int events; string_of_int bytes;
+            Printf.sprintf "%.2f" bpe; "yes" ]
           :: !rows;
         Json.Obj
           [ ("workload", Json.String w.name);
             ("events", Json.Int events);
-            ("v1_bytes", Json.Int v1);
-            ("v2_bytes", Json.Int v2);
-            ("ratio", Json.float ratio);
+            ("v2_bytes", Json.Int bytes);
             ("v2_bytes_per_event", Json.float bpe);
             ("streamed_counts_identical", Json.Bool true) ])
       Ws.all
@@ -466,116 +457,9 @@ let tracefmt () =
   print_string
     (Fs_util.Table.render
        ~header:
-         [ "program"; "events"; "v1 bytes"; "v2 bytes"; "v1/v2"; "B/event";
-           "identical" ]
+         [ "program"; "events"; "bytes"; "B/event"; "identical" ]
        (List.rev !rows));
   record "tracefmt" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
-
-let tracefmt_decode ~jobs () =
-  section "Trace format v2 - decode throughput and streamed sharded replay \
-           vs v1 (pverify, unoptimized, 128B)";
-  let module R = Fs_replay.Replay in
-  let t0 = Unix.gettimeofday () in
-  let w = Ws.find "pverify" in
-  let nprocs = w.W.fig3_procs in
-  let prog = w.W.build ~nprocs ~scale:(4 * w.W.default_scale) in
-  let recorded = Sim.record prog ~nprocs in
-  let trace = recorded.Sim.trace in
-  let events = Ct.length trace in
-  let layout = Layout.default prog ~block:128 in
-  let config = C.default_config ~nprocs ~block:128 in
-  let reference =
-    (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
-  in
-  let mk format =
-    let path = tmp_trace "decode" in
-    Ct.write_file ~format trace path;
-    path
-  in
-  let p1 = mk Ct.V1 and p2 = mk Ct.V2 in
-  let s1 = Ct.of_file_stream p1 and s2 = Ct.of_file_stream p2 in
-  let reps = 5 in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let t = snd (time_it (fun () -> for _ = 1 to reps do f () done)) in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  (* raw decode: every block through the codec into the reused buffer,
-     no simulation behind it *)
-  let sink = ref 0 in
-  let decode s () =
-    Ct.Stream.iter_chunks (fun buf n -> sink := !sink + n + (buf.(0) land 1)) s
-  in
-  let d1 = best_of (decode s1) and d2 = best_of (decode s2) in
-  let b1 = Ct.Stream.byte_size s1 and b2 = Ct.Stream.byte_size s2 in
-  let rate t = if t > 0. then float_of_int (events * reps) /. t /. 1e6 else 0. in
-  let mbs bytes t =
-    if t > 0. then float_of_int (bytes * reps) /. t /. (1024. *. 1024.) else 0.
-  in
-  Printf.printf
-    "decode only:  v1 %.3fs (%.1f Mevents/s)  |  v2 %.3fs (%.1f Mevents/s)\n"
-    d1 (rate d1) d2 (rate d2);
-  (* streamed sharded replay at 1 and 4 shards: at 1 the decode runs
-     inline on the calling domain, at 4 it is pipelined onto the pool
-     (oversubscribed when the box has fewer cores, same policy as the
-     simspeed curve) *)
-  let points = List.sort_uniq compare [ 1; 4; max 1 jobs ] in
-  let replay_points =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        let replay s () =
-          let st = R.simulate_sharded_stream ?pool s ~shards ~layout ~config in
-          assert (st.R.counts = reference)
-        in
-        replay s1 ();
-        replay s2 ();
-        let r1 = best_of (replay s1) and r2 = best_of (replay s2) in
-        (match pool with Some p -> Fs_util.Par.Pool.shutdown p | None -> ());
-        let speedup = if r2 > 0. then r1 /. r2 else 0. in
-        Printf.printf
-          "streamed replay, %d shard(s): v1 %.3fs (%.1f Mevents/s, %.1f MB/s \
-           read)  |  v2 %.3fs (%.1f Mevents/s, %.1f MB/s read)  |  v2 vs v1 \
-           %.2fx\n"
-          shards r1 (rate r1) (mbs b1 r1) r2 (rate r2) (mbs b2 r2) speedup;
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("v1_replay_seconds", Json.float r1);
-            ("v2_replay_seconds", Json.float r2);
-            ("v1_replay_mevents_per_s", Json.float (rate r1));
-            ("v2_replay_mevents_per_s", Json.float (rate r2));
-            ("v1_replay_mb_per_s", Json.float (mbs b1 r1));
-            ("v2_replay_mb_per_s", Json.float (mbs b2 r2));
-            ("v2_vs_v1_replay_speedup", Json.float speedup);
-            ("counts_identical", Json.Bool true) ])
-      points
-  in
-  Ct.Stream.close s1;
-  Ct.Stream.close s2;
-  Sys.remove p1;
-  Sys.remove p2;
-  Printf.printf
-    "(%d events x%d; v1 %d bytes, v2 %d bytes; counts identical to \
-     in-memory at every point)\n"
-    events reps b1 b2;
-  record "tracefmt-decode" ~seconds:(Unix.gettimeofday () -. t0)
-    (Json.Obj
-       [ ("events", Json.Int events);
-         ("reps", Json.Int reps);
-         ("v1_bytes", Json.Int b1);
-         ("v2_bytes", Json.Int b2);
-         ("v1_decode_seconds", Json.float d1);
-         ("v2_decode_seconds", Json.float d2);
-         ("v1_decode_mevents_per_s", Json.float (rate d1));
-         ("v2_decode_mevents_per_s", Json.float (rate d2));
-         ("replay", Json.List replay_points) ])
 
 (* the scale-up path: stream a >=10^8-event recording to disk (constant
    memory while recording), then replay it through the sharded streamed
@@ -1091,7 +975,7 @@ let serve_bench ~quick ~jobs () =
    deterministic experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracefmt-decode"; "tracescale" ]
+    "serve"; "tracescale" ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -1316,7 +1200,6 @@ let () =
     simspeed ~extra_shards:!extra_shards ();
   if all || gate || pick = "sharded" then sharded_bench ();
   if all || gate || pick = "tracefmt" then tracefmt ();
-  if all || gate || pick = "tracefmt-decode" then tracefmt_decode ~jobs ();
   if all || pick = "tracescale" then tracefmt_scale ~jobs ();
   if all || gate || pick = "telemetry" then telemetry_bench ();
   if all || gate || pick = "ablation" then ablation ();

@@ -836,18 +836,10 @@ let serve_cmd =
 
 module Ct = Fs_trace.Cell_trace
 
-let trace_format_arg =
-  Arg.(value
-       & opt (enum [ ("1", Ct.V1); ("2", Ct.V2) ]) Ct.default_format
-       & info [ "trace-format" ] ~docv:"V"
-           ~doc:"On-disk trace format: $(b,1) (flat 8-byte words) or \
-                 $(b,2) (delta+varint blocks with a CRC per block and a \
-                 trailing epoch index; the default).")
-
 let block_events_arg =
   Arg.(value & opt int Ct.default_block_events
        & info [ "block-events" ] ~docv:"N"
-           ~doc:"Events per v2 block (default 65536).")
+           ~doc:"Events per trace block (default 65536).")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -862,13 +854,9 @@ let trace_stat_json path =
   let s = Ct.of_file_stream path in
   let events = Ct.Stream.length s in
   let bytes = Ct.Stream.byte_size s in
-  let epochs =
-    match Ct.Stream.epochs s with Some e -> Array.length e | None -> 0
-  in
   let j =
     Json.Obj
       [ ("file", Json.String path);
-        ("format", Json.Int (Ct.format_version (Ct.Stream.format s)));
         ("events", Json.Int events);
         ("nprocs", Json.Int (Ct.Stream.nprocs s));
         ("vars", Json.Int (Array.length (Ct.Stream.vars s)));
@@ -876,8 +864,8 @@ let trace_stat_json path =
         ("bytes_per_event",
          Json.Float (float_of_int bytes /. float_of_int (max 1 events)));
         ("blocks", Json.Int (Ct.Stream.nblocks s));
-        ("block_events", Json.Int (Ct.Stream.chunk s));
-        ("epochs", Json.Int epochs) ]
+        ("block_events", Json.Int (Ct.Stream.max_block_events s));
+        ("epochs", Json.Int (Array.length (Ct.Stream.epochs s))) ]
   in
   Ct.Stream.close s;
   j
@@ -896,7 +884,7 @@ let print_trace_stat ~heading path =
   | _ -> assert false
 
 let trace_record_cmd =
-  let run w nprocs scale seed out fmt block_events json () =
+  let run w nprocs scale seed out block_events json () =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
@@ -906,8 +894,8 @@ let trace_record_cmd =
        memory, which is what makes --scale large enough for 10^8-event
        captures practical *)
     let wr =
-      Ct.Writer.create ~format:fmt ~block_events
-        ~vars:(Fs_interp.Interp.vars prog) ~nprocs path
+      Ct.Writer.create ~block_events ~vars:(Fs_interp.Interp.vars prog)
+        ~nprocs path
     in
     (* registered workloads terminate by construction, and --scale can
        legitimately push a capture past the default nontermination
@@ -930,7 +918,6 @@ let trace_record_cmd =
              ("nprocs", Json.Int nprocs);
              ("scale", Json.Int scale);
              ("file", Json.String path);
-             ("format", Json.Int (Ct.format_version fmt));
              ("events", Json.Int events);
              ("bytes", Json.Int bytes);
              ("bytes_per_event",
@@ -938,9 +925,9 @@ let trace_record_cmd =
              ("seconds", Json.Float dt) ])
     else
       Printf.printf
-        "recorded %s: %d events to %s (v%d, %d bytes, %.3f B/event, %.2fs, \
+        "recorded %s: %d events to %s (%d bytes, %.3f B/event, %.2fs, \
          %.1f Mevents/s)\n"
-        w.W.name events path (Ct.format_version fmt) bytes
+        w.W.name events path bytes
         (float_of_int bytes /. float_of_int (max 1 events))
         dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
@@ -953,7 +940,7 @@ let trace_record_cmd =
           to size it).")
     (telemetrize "trace-record"
        Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ sched_seed_arg
-             $ trace_out_arg $ trace_format_arg $ block_events_arg $ json_arg))
+             $ trace_out_arg $ block_events_arg $ json_arg))
 
 let trace_stat_cmd =
   let run path json () =
@@ -963,62 +950,9 @@ let trace_stat_cmd =
   Cmd.v
     (Cmd.info "stat"
        ~doc:
-         "Describe a trace file: format version, event/epoch/block counts, \
-          bytes per event.")
+         "Describe a trace file: event/epoch/block counts, bytes per \
+          event.")
     (telemetrize "trace-stat" Term.(const run $ trace_file_arg $ json_arg))
-
-let trace_convert_cmd =
-  let run path out fmt block_events json () =
-    let s = Ct.of_file_stream path in
-    let out = Option.value out ~default:path in
-    let in_bytes = Ct.Stream.byte_size s in
-    let wr =
-      Ct.Writer.create ~format:fmt ~block_events ~vars:(Ct.Stream.vars s)
-        ~nprocs:(Ct.Stream.nprocs s) out
-    in
-    (* block-at-a-time re-encode: memory stays bounded, and converting a
-       file onto itself is safe — the writer lands in a temp file renamed
-       over the target only at close, while the source stays mapped *)
-    (match
-       Ct.Stream.iter_chunks
-         (fun buf n ->
-           for i = 0 to n - 1 do
-             Ct.Writer.push wr buf.(i)
-           done)
-         s
-     with
-    | () -> Ct.Writer.close wr
-    | exception e ->
-      Ct.Writer.abort wr;
-      raise e);
-    Ct.Stream.close s;
-    let events = Ct.Writer.length wr in
-    let out_bytes = (Unix.stat out).Unix.st_size in
-    if json then
-      print_json
-        (Json.Obj
-           [ ("input", Json.String path);
-             ("output", Json.String out);
-             ("format", Json.Int (Ct.format_version fmt));
-             ("events", Json.Int events);
-             ("input_bytes", Json.Int in_bytes);
-             ("output_bytes", Json.Int out_bytes);
-             ("ratio",
-              Json.Float (float_of_int in_bytes /. float_of_int (max 1 out_bytes))) ])
-    else
-      Printf.printf "converted %s -> %s (v%d): %d events, %d -> %d bytes (%.2fx)\n"
-        path out (Ct.format_version fmt) events in_bytes out_bytes
-        (float_of_int in_bytes /. float_of_int (max 1 out_bytes))
-  in
-  Cmd.v
-    (Cmd.info "convert"
-       ~doc:
-         "Re-encode a trace between format versions (either direction; \
-          the default output is v2).  Omitting $(b,--output) converts in \
-          place, atomically.")
-    (telemetrize "trace-convert"
-       Term.(const run $ trace_file_arg $ trace_out_arg $ trace_format_arg
-             $ block_events_arg $ json_arg))
 
 let trace_replay_cmd =
   let workload_pos1 =
@@ -1044,7 +978,6 @@ let trace_replay_cmd =
     let dt = Unix.gettimeofday () -. t0 in
     let events = Ct.Stream.length s in
     let bytes = Ct.Stream.byte_size s in
-    let fmt = Ct.Stream.format s in
     Ct.Stream.close s;
     let c = sharded.Fs_replay.Replay.counts in
     if json then
@@ -1052,7 +985,6 @@ let trace_replay_cmd =
         (Json.Obj
            [ ("file", Json.String path);
              ("workload", Json.String w.W.name);
-             ("format", Json.Int (Ct.format_version fmt));
              ("nprocs", Json.Int nprocs);
              ("block", Json.Int block);
              ("shards", Json.Int shards);
@@ -1107,9 +1039,9 @@ let trace_cmd =
   Cmd.group
     (Cmd.info "trace"
        ~doc:
-         "Record, inspect, convert, and replay on-disk trace files — the \
-          durable form of one interpreted execution.")
-    [ trace_record_cmd; trace_stat_cmd; trace_convert_cmd; trace_replay_cmd ]
+         "Record, inspect, and replay on-disk trace files — the durable \
+          form of one interpreted execution.")
+    [ trace_record_cmd; trace_stat_cmd; trace_replay_cmd ]
 
 (* --- paper reproductions --- *)
 

@@ -5,14 +5,14 @@ module Interp = Fs_interp.Interp
 module Par = Fs_util.Par
 
 (* [stamp] pins the entry to the on-disk capture it came from (or will
-   be written to): the file's format version, byte size, and mtime.  A
-   capture that is converted, re-recorded, or replaced between lookups
-   therefore misses instead of aliasing the stale in-memory entry; with
-   no capture dir the stamp is empty and keys degenerate to the plain
-   (workload, nprocs, scale, seed) tuple.  [seed] is the scheduler seed
-   for dynamic (task-parallel) workloads: it changes the recorded
-   schedule, so it is part of the trace's identity, in memory and in the
-   capture filename alike. *)
+   be written to): the file's byte size and mtime.  A capture that is
+   re-recorded or replaced between lookups therefore misses instead of
+   aliasing the stale in-memory entry; with no capture dir the stamp is
+   empty and keys degenerate to the plain (workload, nprocs, scale,
+   seed) tuple.  [seed] is the scheduler seed for dynamic
+   (task-parallel) workloads: it changes the recorded schedule, so it is
+   part of the trace's identity, in memory and in the capture filename
+   alike. *)
 type key = {
   workload : string;
   nprocs : int;
@@ -90,13 +90,7 @@ let stamp_of dir k =
   | Some d -> (
     let path = path_of d k in
     match Unix.stat path with
-    | st ->
-      let version =
-        match Cell_trace.file_format path with
-        | f -> string_of_int (Cell_trace.format_version f)
-        | exception (Cell_trace.Corrupt _ | Sys_error _) -> "?"
-      in
-      Printf.sprintf "v%s:%d:%h" version st.Unix.st_size st.Unix.st_mtime
+    | st -> Printf.sprintf "%d:%h" st.Unix.st_size st.Unix.st_mtime
     | exception Unix.Unix_error _ -> "")
 
 (* A disk-loaded trace carries no final memory image, but the summary

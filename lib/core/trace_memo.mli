@@ -23,9 +23,8 @@
     entry's [interp] summary is reconstructed from the event stream; its
     final-memory [store] is empty (values are not part of the trace).
     Entries are additionally keyed by a [stamp] of the capture file —
-    its trace-format version, size, and mtime — so a capture that is
-    converted or replaced on disk misses and reloads instead of aliasing
-    the stale in-memory entry. *)
+    its size and mtime — so a capture that is replaced on disk misses
+    and reloads instead of aliasing the stale in-memory entry. *)
 
 type key = {
   workload : string;

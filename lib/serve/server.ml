@@ -288,18 +288,10 @@ let parse_params endpoint (req : Http.request) =
    defaults resolve differently must never alias *)
 let cache_version = "falseshare-serve/2"
 
-(* the on-disk trace format feeds the memoized recordings every handler
-   replays, so it is part of the address too: a daemon restarted after a
-   format-default change must recompute, not alias the old entries *)
-let trace_format =
-  Printf.sprintf "tracefmt=%d"
-    (Fs_trace.Cell_trace.format_version Fs_trace.Cell_trace.default_format)
-
 let cache_key p =
   Store.key
     [
       cache_version;
-      trace_format;
       p.pendpoint;
       p.pwname;
       p.psource;
@@ -648,11 +640,7 @@ let statusz t =
                ("jobs", Json.Int t.cfg.jobs);
                ("cache_dir", Json.String (Store.dir t.store));
                ("cache_budget_bytes", Json.Int t.cfg.cache_budget_bytes);
-               ("cache_version", Json.String cache_version);
-               ("trace_format",
-                Json.Int
-                  (Fs_trace.Cell_trace.format_version
-                     Fs_trace.Cell_trace.default_format)) ] );
+               ("cache_version", Json.String cache_version) ] );
          ( "store",
            Json.Obj
              [ ("hits", Json.Int store_stats.Store.hits);

@@ -76,14 +76,8 @@ let equal a b =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Disk formats.  Both are little-endian with 64-bit header fields.
-
-   v1 — flat words:
-
-     "FSTRACE1" | nprocs | nvars | (name length | name bytes)* | len
-     | len x 8-byte packed events
-
-   v2 — delta/varint blocks with a trailing index:
+(* Disk format.  Little-endian with 64-bit header fields: delta/varint
+   blocks with a trailing index.
 
      "FSTRACE2" | nprocs | nvars | (name length | name bytes)*
      | block_events
@@ -130,106 +124,16 @@ let equal a b =
    Barrier_release (lead byte 0x03) does not update the previous-proc
    register; every other event does. *)
 
-let magic_v1 = "FSTRACE1"
-let magic_v2 = "FSTRACE2"
+let magic = "FSTRACE2"
 let magic_index = "FSTRIDX2"
-
-type format = V1 | V2
-
-let format_version = function V1 -> 1 | V2 -> 2
-let format_of_version = function 1 -> Some V1 | 2 -> Some V2 | _ -> None
-let default_format = V2
 let default_block_events = 1 lsl 16
 
 exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 
-let format_of_magic m =
-  if String.equal m magic_v1 then Some V1
-  else if String.equal m magic_v2 then Some V2
-  else None
-
-let read_magic ic =
-  let m = Bytes.create 8 in
-  (try really_input ic m 0 8 with End_of_file -> corrupt "truncated trace");
-  match format_of_magic (Bytes.to_string m) with
-  | Some f -> f
-  | None -> corrupt "bad magic"
-
-let file_format path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_magic ic)
-
 (* ------------------------------------------------------------------ *)
-(* v1 writer / reader (flat words). *)
-
-let write_channel_v1 t oc =
-  let b = Bytes.create 8 in
-  let w64 n =
-    Bytes.set_int64_le b 0 (Int64.of_int n);
-    output_bytes oc b
-  in
-  output_string oc magic_v1;
-  w64 t.nprocs;
-  w64 (Array.length t.vars);
-  Array.iter
-    (fun name ->
-      w64 (String.length name);
-      output_string oc name)
-    t.vars;
-  w64 t.len;
-  for i = 0 to t.len - 1 do
-    w64 t.data.(i)
-  done
-
-(* Parse and validate the v1 header after its magic; returns the header
-   fields with the channel positioned at the first event.  Shared by the
-   in-memory reader and the streaming one. *)
-let read_v1_header ic =
-  let b = Bytes.create 8 in
-  let r64 () =
-    (try really_input ic b 0 8 with End_of_file -> corrupt "truncated trace");
-    Int64.to_int (Bytes.get_int64_le b 0)
-  in
-  let nprocs = r64 () in
-  if nprocs <= 0 || nprocs > Cell_event.max_proc + 1 then
-    corrupt "bad nprocs %d" nprocs;
-  let nvars = r64 () in
-  if nvars < 0 || nvars > Cell_event.max_var + 1 then corrupt "bad nvars %d" nvars;
-  let vars =
-    Array.init nvars (fun _ ->
-        let n = r64 () in
-        if n < 0 || n > 4096 then corrupt "bad name length %d" n;
-        let s = Bytes.create n in
-        (try really_input ic s 0 n with End_of_file -> corrupt "truncated trace");
-        Bytes.to_string s)
-  in
-  let len = r64 () in
-  if len < 0 then corrupt "bad length %d" len;
-  (nprocs, vars, len)
-
-let read_channel_v1 ic =
-  let nprocs, vars, len = read_v1_header ic in
-  (* the event section is one bulk read: a single [really_input] of
-     [len * 8] bytes decoded in place, instead of one 8-byte read per
-     event — truncation still surfaces as [Corrupt] *)
-  let data = Array.make (max len 1) 0 in
-  if len > 0 then begin
-    let raw =
-      try Bytes.create (len * 8)
-      with Invalid_argument _ -> corrupt "bad length %d" len
-    in
-    (try really_input ic raw 0 (len * 8)
-     with End_of_file -> corrupt "truncated trace");
-    for i = 0 to len - 1 do
-      data.(i) <- Int64.to_int (Bytes.get_int64_le raw (i * 8))
-    done
-  end;
-  { vars; ids = id_table vars; nprocs; data; len }
-
-(* ------------------------------------------------------------------ *)
-(* v2 encoder. *)
+(* Encoder. *)
 
 let[@inline] zigzag v = (v lsl 1) lxor (v asr 62)
 let[@inline] unzigzag u = (u lsr 1) lxor (-(u land 1))
@@ -366,123 +270,161 @@ let enc_event e packed =
     e.en_prev_proc <- thief
   | _ -> invalid_arg "Cell_trace: bad packed tag"
 
-(* Streaming v2 emitter over an out_channel: header at create, one block
-   flushed per [v2_block_events] events, index + trailer at finish. *)
-type v2_writer = {
-  v_oc : out_channel;
-  v_block_events : int;
-  v_enc : enc;
-  v_b8 : Bytes.t;
-  mutable v_in_block : int;
-  mutable v_total : int;
-  mutable v_pos : int;  (* running file offset *)
-  mutable v_blocks_rev : (int * int) list;  (* payload offset, events *)
-  mutable v_epochs_rev : int list;
-}
+(* ------------------------------------------------------------------ *)
+(* Streaming writer: header at create, one block flushed per
+   [block_events] events, index + trailer at close — so a recording
+   never has to be held in memory, the path that makes 10^8-event
+   captures practical.  Written to [path ^ ".tmp"] and renamed into
+   place only once every byte is out. *)
 
-let vw64 w n =
-  Bytes.set_int64_le w.v_b8 0 (Int64.of_int n);
-  output_bytes w.v_oc w.v_b8;
-  w.v_pos <- w.v_pos + 8
+module Writer = struct
+  type t = {
+    oc : out_channel;
+    tmp : string;
+    path : string;
+    block_events : int;
+    enc : enc;
+    b8 : Bytes.t;
+    mutable in_block : int;
+    mutable total : int;
+    mutable blocks_rev : (int * int) list;  (* payload offset, events *)
+    mutable epochs_rev : int list;
+    mutable finished : bool;
+  }
 
-let v2_start oc ~vars ~nprocs ~block_events =
-  if block_events <= 0 then
-    invalid_arg "Cell_trace: block_events must be positive";
-  let w =
-    {
-      v_oc = oc;
-      v_block_events = block_events;
-      v_enc = enc_create ~nprocs ~nvars:(Array.length vars);
-      v_b8 = Bytes.create 8;
-      v_in_block = 0;
-      v_total = 0;
-      v_pos = 0;
-      v_blocks_rev = [];
-      v_epochs_rev = [];
-    }
-  in
-  output_string oc magic_v2;
-  w.v_pos <- 8;
-  vw64 w nprocs;
-  vw64 w (Array.length vars);
-  Array.iter
-    (fun name ->
-      vw64 w (String.length name);
-      output_string oc name;
-      w.v_pos <- w.v_pos + String.length name)
-    vars;
-  vw64 w block_events;
-  w
+  let w64 t n =
+    Bytes.set_int64_le t.b8 0 (Int64.of_int n);
+    output_bytes t.oc t.b8
 
-let v2_flush_block w =
-  if w.v_in_block > 0 then begin
-    let payload = Buffer.contents w.v_enc.en_buf in
-    let plen = String.length payload in
-    w.v_blocks_rev <- (w.v_pos, w.v_in_block) :: w.v_blocks_rev;
-    output_string w.v_oc payload;
-    w.v_pos <- w.v_pos + plen;
-    vw64 w w.v_in_block;
-    vw64 w plen;
-    vw64 w (Fs_util.Crc32.of_string payload);
-    w.v_in_block <- 0;
-    enc_reset w.v_enc
-  end
+  let discard t =
+    close_out_noerr t.oc;
+    try Sys.remove t.tmp with Sys_error _ -> ()
 
-let v2_push w packed =
-  if Cell_event.packed_tag packed = Cell_event.tag_barrier_release then
-    w.v_epochs_rev <- w.v_total :: w.v_epochs_rev;
-  enc_event w.v_enc packed;
-  w.v_in_block <- w.v_in_block + 1;
-  w.v_total <- w.v_total + 1;
-  if w.v_in_block >= w.v_block_events then v2_flush_block w
+  let create ?(block_events = default_block_events) ~vars ~nprocs path =
+    if nprocs <= 0 || nprocs > Cell_event.max_proc + 1 then
+      invalid_arg "Cell_trace.Writer.create: bad nprocs";
+    if Array.length vars > Cell_event.max_var + 1 then
+      invalid_arg "Cell_trace.Writer.create: too many variables";
+    if block_events <= 0 then
+      invalid_arg "Cell_trace.Writer.create: block_events must be positive";
+    let tmp = path ^ ".tmp" in
+    let t =
+      {
+        oc = open_out_bin tmp;
+        tmp;
+        path;
+        block_events;
+        enc = enc_create ~nprocs ~nvars:(Array.length vars);
+        b8 = Bytes.create 8;
+        in_block = 0;
+        total = 0;
+        blocks_rev = [];
+        epochs_rev = [];
+        finished = false;
+      }
+    in
+    match
+      output_string t.oc magic;
+      w64 t nprocs;
+      w64 t (Array.length vars);
+      Array.iter
+        (fun name ->
+          w64 t (String.length name);
+          output_string t.oc name)
+        vars;
+      w64 t block_events
+    with
+    | () -> t
+    | exception e ->
+      discard t;
+      raise e
 
-let v2_finish w =
-  v2_flush_block w;
-  let ib = Buffer.create 1024 in
-  let a64 n = Buffer.add_int64_le ib (Int64.of_int n) in
-  let blocks = List.rev w.v_blocks_rev in
-  a64 (List.length blocks);
-  List.iter
-    (fun (off, n) ->
-      a64 off;
-      a64 n)
-    blocks;
-  let epochs = List.rev w.v_epochs_rev in
-  a64 (List.length epochs);
-  List.iter a64 epochs;
-  a64 w.v_total;
-  let index = Buffer.contents ib in
-  let index_off = w.v_pos in
-  output_string w.v_oc index;
-  w.v_pos <- w.v_pos + String.length index;
-  vw64 w index_off;
-  vw64 w (Fs_util.Crc32.of_string index);
-  output_string w.v_oc magic_index;
-  w.v_pos <- w.v_pos + 8
+  let flush_block t =
+    if t.in_block > 0 then begin
+      let payload = Buffer.contents t.enc.en_buf in
+      t.blocks_rev <- (pos_out t.oc, t.in_block) :: t.blocks_rev;
+      output_string t.oc payload;
+      w64 t t.in_block;
+      w64 t (String.length payload);
+      w64 t (Fs_util.Crc32.of_string payload);
+      t.in_block <- 0;
+      enc_reset t.enc
+    end
 
-let write_channel ?(format = default_format) ?(block_events = default_block_events)
-    t oc =
-  match format with
-  | V1 -> write_channel_v1 t oc
-  | V2 ->
-    let w = v2_start oc ~vars:t.vars ~nprocs:t.nprocs ~block_events in
+  let push t packed =
+    if t.finished then invalid_arg "Cell_trace.Writer.push: closed";
+    if Cell_event.packed_tag packed = Cell_event.tag_barrier_release then
+      t.epochs_rev <- t.total :: t.epochs_rev;
+    enc_event t.enc packed;
+    t.in_block <- t.in_block + 1;
+    t.total <- t.total + 1;
+    if t.in_block >= t.block_events then flush_block t
+
+  let length t = t.total
+  let recorder t = listener_of_push (push t)
+
+  let write_index t =
+    flush_block t;
+    let ib = Buffer.create 1024 in
+    let a64 n = Buffer.add_int64_le ib (Int64.of_int n) in
+    let blocks = List.rev t.blocks_rev in
+    a64 (List.length blocks);
+    List.iter
+      (fun (off, n) ->
+        a64 off;
+        a64 n)
+      blocks;
+    let epochs = List.rev t.epochs_rev in
+    a64 (List.length epochs);
+    List.iter a64 epochs;
+    a64 t.total;
+    let index = Buffer.contents ib in
+    let index_off = pos_out t.oc in
+    output_string t.oc index;
+    w64 t index_off;
+    w64 t (Fs_util.Crc32.of_string index);
+    output_string t.oc magic_index
+
+  (* [close_out], not [close_out_noerr]: a failed final flush must fail
+     the close, not rename a short file into place *)
+  let close t =
+    if not t.finished then begin
+      t.finished <- true;
+      match
+        write_index t;
+        close_out t.oc;
+        Sys.rename t.tmp t.path
+      with
+      | () -> ()
+      | exception e ->
+        discard t;
+        raise e
+    end
+
+  let abort t =
+    if not t.finished then begin
+      t.finished <- true;
+      discard t
+    end
+end
+
+let write_file ?block_events t path =
+  let w = Writer.create ?block_events ~vars:t.vars ~nprocs:t.nprocs path in
+  match
     for i = 0 to t.len - 1 do
-      v2_push w t.data.(i)
+      Writer.push w t.data.(i)
     done;
-    v2_finish w
-
-let write_file ?format ?block_events t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> write_channel ?format ?block_events t oc);
-  Sys.rename tmp path
+    Writer.close w
+  with
+  | () -> ()
+  | exception e ->
+    Writer.abort w;
+    raise e
 
 (* ------------------------------------------------------------------ *)
-(* v2 decoder, over the whole file as a byte bigarray (memory map or a
-   slurped channel).  All scratch is per call, so concurrent decodes of
-   different blocks of one open stream are safe. *)
+(* Decoder, over the whole file as a memory-mapped byte bigarray.  All
+   scratch is per call, so concurrent decodes of different blocks of one
+   open stream are safe. *)
 
 type bigstring = Fs_util.Crc32.bigstring
 
@@ -516,7 +458,7 @@ let read_varint map pos limit ~block =
    [dst.(dst_off ..)].  Every decoded field is range-checked before the
    unchecked pack, so data that defeats the CRC still cannot produce
    packed events outside the event invariants. *)
-let decode_v2_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
+let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
   let limit = pos + plen in
   let pos = ref pos in
   let last_var = Array.make (max 1 nprocs) 0 in
@@ -631,8 +573,8 @@ let decode_v2_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
   if !pos <> limit then
     corrupt "block %d: %d trailing payload bytes" block (limit - !pos)
 
-(* Parsed v2 geometry: everything but the payloads, validated. *)
-type v2_info = {
+(* Parsed geometry: everything but the payloads, validated. *)
+type info = {
   i_nprocs : int;
   i_vars : string array;
   i_block_events : int;
@@ -644,8 +586,13 @@ type v2_info = {
   i_total : int;
 }
 
-let parse_v2 (map : bigstring) =
+let sub_string (map : bigstring) off n =
+  String.init n (fun k -> Bigarray.Array1.get map (off + k))
+
+let parse (map : bigstring) =
   let l = Bigarray.Array1.dim map in
+  if l < 8 then corrupt "truncated trace";
+  if sub_string map 0 8 <> magic then corrupt "bad magic";
   if l < 8 + (3 * 8) + 24 then corrupt "truncated trace";
   let pos = ref 8 in
   let r64 () =
@@ -664,7 +611,7 @@ let parse_v2 (map : bigstring) =
     let n = r64 () in
     if n < 0 || n > 4096 then corrupt "bad name length %d" n;
     if !pos + n > l then corrupt "truncated trace";
-    vars.(i) <- String.init n (fun k -> Bigarray.Array1.get map (!pos + k));
+    vars.(i) <- sub_string map !pos n;
     pos := !pos + n
   done;
   let block_events = r64 () in
@@ -672,8 +619,8 @@ let parse_v2 (map : bigstring) =
     corrupt "bad block size %d" block_events;
   let header_end = !pos in
   (* trailer *)
-  if String.init 8 (fun i -> Bigarray.Array1.get map (l - 8 + i)) <> magic_index
-  then corrupt "bad index trailer (truncated trace?)";
+  if sub_string map (l - 8) 8 <> magic_index then
+    corrupt "bad index trailer (truncated trace?)";
   let index_off = get64 map (l - 24) in
   let index_crc = get64 map (l - 16) in
   if index_off < header_end || index_off > l - 24 then corrupt "bad index offset";
@@ -748,7 +695,7 @@ let parse_v2 (map : bigstring) =
 
 (* Verify one block's footer + CRC against the index, then decode its
    payload into [dst] at [dst_off].  Raises [Corrupt] naming the block. *)
-let decode_v2_block (map : bigstring) info k dst dst_off =
+let decode_into (map : bigstring) info k dst dst_off =
   let off = info.i_offsets.(k) in
   let plen = info.i_lens.(k) in
   let count = info.i_counts.(k) in
@@ -757,14 +704,24 @@ let decode_v2_block (map : bigstring) info k dst dst_off =
     corrupt "block %d: footer disagrees with index" k;
   if Fs_util.Crc32.of_bigstring_sub map off plen <> get64 map (fpos + 16) then
     corrupt "block %d: checksum mismatch" k;
-  decode_v2_payload map ~pos:off ~plen ~count ~block:k ~nprocs:info.i_nprocs
+  decode_payload map ~pos:off ~plen ~count ~block:k ~nprocs:info.i_nprocs
     ~nvars:(Array.length info.i_vars) dst dst_off
 
-let of_v2_map map =
-  let info = parse_v2 map in
+let map_whole_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file (Unix.descr_of_in_channel ic) Bigarray.char
+           Bigarray.c_layout false [| in_channel_length ic |]))
+
+let read_file path =
+  let map = map_whole_file path in
+  let info = parse map in
   let data = Array.make (max info.i_total 1) 0 in
   for k = 0 to Array.length info.i_offsets - 1 do
-    decode_v2_block map info k data info.i_starts.(k)
+    decode_into map info k data info.i_starts.(k)
   done;
   {
     vars = info.i_vars;
@@ -774,246 +731,38 @@ let of_v2_map map =
     len = info.i_total;
   }
 
-let map_whole_file path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let size = (Unix.fstat fd).Unix.st_size in
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]))
-
-let read_channel ic =
-  match read_magic ic with
-  | V1 -> read_channel_v1 ic
-  | V2 ->
-    (* channels cannot be mapped: slurp the rest and parse in memory *)
-    let rest = In_channel.input_all ic in
-    let n = 8 + String.length rest in
-    let map = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-    String.iteri (fun i c -> Bigarray.Array1.set map i c) magic_v2;
-    String.iteri (fun i c -> Bigarray.Array1.set map (8 + i) c) rest;
-    of_v2_map map
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match read_magic ic with
-      | V1 -> read_channel_v1 ic
-      | V2 -> of_v2_map (map_whole_file path))
-
 (* ------------------------------------------------------------------ *)
-(* Streaming writer: record straight to disk without holding the trace
-   in memory — the path that makes 10^8-event recordings practical. *)
-
-module Writer = struct
-  type body =
-    | W1 of { w1_len_pos : int }  (* the length word, patched at close *)
-    | W2 of v2_writer
-
-  type w = {
-    w_oc : out_channel;
-    w_tmp : string;
-    w_path : string;
-    w_body : body;
-    mutable w_len : int;
-    mutable w_done : bool;
-  }
-
-  type nonrec t = w
-
-  let create ?(format = default_format) ?(block_events = default_block_events)
-      ~vars ~nprocs path =
-    if nprocs <= 0 || nprocs > Cell_event.max_proc + 1 then
-      invalid_arg "Cell_trace.Writer.create: bad nprocs";
-    if Array.length vars > Cell_event.max_var + 1 then
-      invalid_arg "Cell_trace.Writer.create: too many variables";
-    if block_events <= 0 then
-      invalid_arg "Cell_trace.Writer.create: block_events must be positive";
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    match
-      match format with
-      | V2 -> W2 (v2_start oc ~vars ~nprocs ~block_events)
-      | V1 ->
-        let b = Bytes.create 8 in
-        let w64 n =
-          Bytes.set_int64_le b 0 (Int64.of_int n);
-          output_bytes oc b
-        in
-        output_string oc magic_v1;
-        w64 nprocs;
-        w64 (Array.length vars);
-        Array.iter
-          (fun name ->
-            w64 (String.length name);
-            output_string oc name)
-          vars;
-        let len_pos = pos_out oc in
-        w64 0;
-        W1 { w1_len_pos = len_pos }
-    with
-    | body ->
-      { w_oc = oc; w_tmp = tmp; w_path = path; w_body = body; w_len = 0;
-        w_done = false }
-    | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-
-  let push t packed =
-    if t.w_done then invalid_arg "Cell_trace.Writer.push: closed";
-    (match t.w_body with
-    | W1 _ ->
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 (Int64.of_int packed);
-      output_bytes t.w_oc b
-    | W2 w -> v2_push w packed);
-    t.w_len <- t.w_len + 1
-
-  let length t = t.w_len
-  let recorder t = listener_of_push (push t)
-
-  let close t =
-    if not t.w_done then begin
-      t.w_done <- true;
-      (match t.w_body with
-      | W1 { w1_len_pos } ->
-        seek_out t.w_oc w1_len_pos;
-        let b = Bytes.create 8 in
-        Bytes.set_int64_le b 0 (Int64.of_int t.w_len);
-        output_bytes t.w_oc b
-      | W2 w -> v2_finish w);
-      close_out t.w_oc;
-      Sys.rename t.w_tmp t.w_path
-    end
-
-  let abort t =
-    if not t.w_done then begin
-      t.w_done <- true;
-      close_out_noerr t.w_oc;
-      (try Sys.remove t.w_tmp with Sys_error _ -> ())
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Streaming reader.  Both formats present the same shape: a sequence of
-   blocks, each decodable independently into a caller buffer, so peak
-   heap is bounded by the block size however long the trace.  For v1 a
-   "block" is a chunk-sized window of the mapped word array; for v2 it
-   is an encoded block, CRC-checked and located through the index. *)
+(* Streaming reader: a sequence of blocks, each CRC-checked and decoded
+   on demand into a caller buffer, so peak heap is bounded by the block
+   size however long the trace. *)
 
 module Stream = struct
-  type body =
-    | S1 of (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-    | S2 of { s2_map : bigstring; s2_info : v2_info }
+  type nonrec t = { map : bigstring; info : info; mutable closed : bool }
 
-  type nonrec t = {
-    s_vars : string array;
-    s_nprocs : int;
-    s_len : int;
-    s_chunk : int;  (* v1: window size; v2: the file's block_events *)
-    s_bytes : int;  (* whole file, for effective-bandwidth reporting *)
-    s_body : body;
-    mutable s_closed : bool;
-  }
+  let open_file path =
+    let map = map_whole_file path in
+    { map; info = parse map; closed = false }
 
-  let default_chunk = 1 lsl 20
-
-  let open_file ?(chunk = default_chunk) path =
-    if chunk <= 0 then
-      invalid_arg "Cell_trace.Stream.open_file: chunk must be positive";
-    match file_format path with
-    | V2 ->
-      let map = map_whole_file path in
-      let info = parse_v2 map in
-      {
-        s_vars = info.i_vars;
-        s_nprocs = info.i_nprocs;
-        s_len = info.i_total;
-        s_chunk = info.i_block_events;
-        s_bytes = Bigarray.Array1.dim map;
-        s_body = S2 { s2_map = map; s2_info = info };
-        s_closed = false;
-      }
-    | V1 ->
-      let ic = open_in_bin path in
-      let nprocs, vars, len, pos, bytes =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let fmt = read_magic ic in
-            assert (fmt = V1);
-            let nprocs, vars, len = read_v1_header ic in
-            let pos = pos_in ic in
-            let bytes = in_channel_length ic in
-            if bytes - pos < len * 8 then corrupt "truncated trace";
-            (nprocs, vars, len, pos, bytes))
-      in
-      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      let map =
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            Bigarray.array1_of_genarray
-              (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int64
-                 Bigarray.c_layout false [| len |]))
-      in
-      { s_vars = vars; s_nprocs = nprocs; s_len = len; s_chunk = chunk;
-        s_bytes = bytes; s_body = S1 map; s_closed = false }
-
-  let vars t = t.s_vars
-  let nprocs t = t.s_nprocs
-  let length t = t.s_len
-  let chunk t = t.s_chunk
-  let byte_size t = t.s_bytes
-  let format t = match t.s_body with S1 _ -> V1 | S2 _ -> V2
-
-  let nblocks t =
-    match t.s_body with
-    | S1 _ -> if t.s_len = 0 then 0 else (t.s_len + t.s_chunk - 1) / t.s_chunk
-    | S2 { s2_info; _ } -> Array.length s2_info.i_offsets
-
-  let block_events t k =
-    match t.s_body with
-    | S1 _ -> min t.s_chunk (t.s_len - (k * t.s_chunk))
-    | S2 { s2_info; _ } -> s2_info.i_counts.(k)
-
-  let block_start t k =
-    match t.s_body with
-    | S1 _ -> k * t.s_chunk
-    | S2 { s2_info; _ } -> s2_info.i_starts.(k)
-
-  let max_block_events t =
-    match t.s_body with
-    | S1 _ -> max 1 (min t.s_chunk t.s_len)
-    | S2 { s2_info; _ } -> max 1 s2_info.i_block_events
-
-  let epochs t =
-    match t.s_body with
-    | S1 _ -> None
-    | S2 { s2_info; _ } -> Some (Array.copy s2_info.i_epochs)
+  let vars t = t.info.i_vars
+  let nprocs t = t.info.i_nprocs
+  let length t = t.info.i_total
+  let byte_size t = Bigarray.Array1.dim t.map
+  let nblocks t = Array.length t.info.i_offsets
+  let max_block_events t = max 1 t.info.i_block_events
+  let epochs t = Array.copy t.info.i_epochs
 
   let decode_block t k buf =
-    if t.s_closed then invalid_arg "Cell_trace.Stream.decode_block: closed";
+    if t.closed then invalid_arg "Cell_trace.Stream.decode_block: closed";
     if k < 0 || k >= nblocks t then
       invalid_arg "Cell_trace.Stream.decode_block: block out of range";
-    let n = block_events t k in
+    let n = t.info.i_counts.(k) in
     if Array.length buf < n then
       invalid_arg "Cell_trace.Stream.decode_block: buffer too small";
-    (match t.s_body with
-    | S1 map ->
-      let start = k * t.s_chunk in
-      for i = 0 to n - 1 do
-        buf.(i) <- Int64.to_int (Bigarray.Array1.unsafe_get map (start + i))
-      done
-    | S2 { s2_map; s2_info } -> decode_v2_block s2_map s2_info k buf 0);
+    decode_into t.map t.info k buf 0;
     n
 
   let iter_chunks f t =
-    if t.s_closed then invalid_arg "Cell_trace.Stream.iter_chunks: closed";
+    if t.closed then invalid_arg "Cell_trace.Stream.iter_chunks: closed";
     let nb = nblocks t in
     if nb > 0 then begin
       let buf = Array.make (max_block_events t) 0 in
@@ -1026,7 +775,7 @@ module Stream = struct
   (* the mapping itself is released when the bigarray is collected;
      [close] only fences further iteration so a use-after-close is an
      error instead of a silent read *)
-  let close t = t.s_closed <- true
+  let close t = t.closed <- true
 end
 
 let of_file_stream = Stream.open_file

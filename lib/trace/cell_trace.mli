@@ -42,43 +42,28 @@ val equal : t -> t -> bool
 
 (** {1 Capture to disk}
 
-    Two little-endian binary formats, both written atomically (temp file
-    + rename) and both understood by every reader here:
-
-    - {b v1} ("FSTRACE1"): one flat 8-byte word per packed event.
-    - {b v2} ("FSTRACE2"): events grouped into fixed-size blocks, each
-      block delta + LEB128-varint encoded with a footer carrying its
-      event count, payload length and CRC-32, plus a trailing index
-      mapping block starts and [Barrier_release] positions to file
-      offsets (so replay can seek to an epoch without scanning).  Block
-      delta state resets at each boundary, making blocks independently —
-      and concurrently — decodable.
-
-    Readers sniff the magic; writers default to v2. *)
+    One little-endian binary format ("FSTRACE2"), written atomically
+    (temp file + rename): events grouped into fixed-size blocks, each
+    block delta + LEB128-varint encoded with a footer carrying its event
+    count, payload length and CRC-32, plus a trailing index mapping
+    block starts and [Barrier_release] positions to file offsets (so
+    replay can seek to an epoch without scanning).  Block delta state
+    resets at each boundary, making blocks independently — and
+    concurrently — decodable. *)
 
 exception Corrupt of string
 
-type format = V1 | V2
-
-val default_format : format
-(** What writers emit unless told otherwise: [V2]. *)
-
-val format_version : format -> int
-val format_of_version : int -> format option
-
 val default_block_events : int
-(** Events per v2 block unless overridden: 65536. *)
+(** Events per block unless overridden: 65536. *)
 
-val file_format : string -> format
-(** Sniff a trace file's magic.
-    @raise Corrupt when the file is not a trace. *)
+val write_file : ?block_events:int -> t -> string -> unit
+(** Runs the {!Writer} lifecycle over the trace: on any failure the temp
+    file is removed and nothing is renamed into place.
+    @raise Invalid_argument on an event whose proc or var exceeds the
+    header, or on a bad [block_events]. *)
 
-val write_file : ?format:format -> ?block_events:int -> t -> string -> unit
 val read_file : string -> t
 (** @raise Corrupt on malformed input, [Sys_error] on IO failure. *)
-
-val write_channel : ?format:format -> ?block_events:int -> t -> out_channel -> unit
-val read_channel : in_channel -> t
 
 (** {1 Streaming capture}
 
@@ -90,7 +75,6 @@ module Writer : sig
   type t
 
   val create :
-    ?format:format ->
     ?block_events:int ->
     vars:string array ->
     nprocs:int ->
@@ -113,8 +97,9 @@ module Writer : sig
   (** Events pushed so far. *)
 
   val close : t -> unit
-  (** Finalize (v1: patch the length word; v2: flush the last block and
-      write index + trailer) and atomically rename into place. *)
+  (** Flush the last block, write index + trailer, and atomically rename
+      into place.  If any of that fails the temp file is removed and the
+      exception re-raised. *)
 
   val abort : t -> unit
   (** Discard: close and delete the temp file.  Idempotent, as is
@@ -123,32 +108,24 @@ end
 
 (** {1 Streaming replay}
 
-    For traces too large to hold in memory.  Both formats present the
-    same shape: a sequence of blocks, each decoded on demand into a
-    caller buffer, so peak heap is bounded by the block size however
-    long the trace.  For v1 a block is a chunk-sized window of the
-    memory-mapped word array; for v2 it is an encoded block, CRC-checked
-    against its footer and located through the trailing index.  Headers
-    and (v2) index geometry are validated eagerly at open time. *)
+    For traces too large to hold in memory: a sequence of blocks, each
+    decoded on demand into a caller buffer, so peak heap is bounded by
+    the block size however long the trace.  Each block is CRC-checked
+    against its footer and located through the trailing index; the
+    header and index geometry are validated eagerly at open time. *)
 
 module Stream : sig
   type t
 
-  val open_file : ?chunk:int -> string -> t
-  (** [chunk] is the v1 window size in events (default 2{^20}); v2 block
-      granularity is fixed by the file.
-      @raise Corrupt on malformed or truncated input, [Sys_error] /
-      [Unix.Unix_error] on IO failure,  [Invalid_argument] on a
-      non-positive [chunk]. *)
+  val open_file : string -> t
+  (** @raise Corrupt on malformed or truncated input, [Sys_error] /
+      [Unix.Unix_error] on IO failure. *)
 
-  val format : t -> format
   val vars : t -> string array
   val nprocs : t -> int
 
   val length : t -> int
   (** Total events in the trace (not the window). *)
-
-  val chunk : t -> int
 
   val byte_size : t -> int
   (** Size of the underlying file in bytes — the denominator for
@@ -156,20 +133,13 @@ module Stream : sig
 
   val nblocks : t -> int
 
-  val block_events : t -> int -> int
-  (** Events in block [k]. *)
-
-  val block_start : t -> int -> int
-  (** Global index of block [k]'s first event. *)
-
   val max_block_events : t -> int
-  (** An upper bound on {!block_events} over all blocks — the buffer
-      size {!decode_block} requires.  At least 1. *)
+  (** The file's block size, an upper bound on the events of any block —
+      the buffer size {!decode_block} requires.  At least 1. *)
 
-  val epochs : t -> int array option
-  (** v2 only: the global event position of every [Barrier_release], in
-      order, from the index — the seek points for epoch-addressed
-      consumers. *)
+  val epochs : t -> int array
+  (** The global event position of every [Barrier_release], in order,
+      from the index — the seek points for epoch-addressed consumers. *)
 
   val decode_block : t -> int -> int array -> int
   (** [decode_block t k buf] decodes block [k] into [buf.(0 .. n - 1)]
@@ -192,5 +162,5 @@ module Stream : sig
       [Invalid_argument]); the mapping itself is reclaimed by the GC. *)
 end
 
-val of_file_stream : ?chunk:int -> string -> Stream.t
+val of_file_stream : string -> Stream.t
 (** Alias for {!Stream.open_file}. *)

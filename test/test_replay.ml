@@ -254,9 +254,10 @@ let test_disk_roundtrip () =
   Sys.remove path
 
 (* Corruption surfaces as the typed [Corrupt] error — never a bare
-   [End_of_file] or [Failure] — at both truncation points: inside the
-   header (name table) and inside the event section.  The streaming
-   reader must reject the same files at open time. *)
+   [End_of_file] or [Failure] — at both ends of the file: a cut inside
+   the header (name table) and a cut through the last word of the
+   trailer.  The streaming reader must reject the same files at open
+   time. *)
 let test_disk_truncation () =
   let w = Ws.find "maxflow" in
   let nprocs = 4 in
@@ -295,18 +296,18 @@ let test_disk_truncation () =
         (Printf.sprintf "%s: stream open expected Corrupt, got %s" what
            (Printexc.to_string e))
   in
-  (* event-section truncation: drop the last word of the payload *)
+  (* tail truncation: drop the last word of the file *)
   truncate_to (size - 4);
-  expect_corrupt "event section truncated";
+  expect_corrupt "tail truncated";
   (* header truncation: cut inside the variable-name table, well before
-     the event-count field *)
+     the first block *)
   truncate_to 29;
   expect_corrupt "header truncated";
   Sys.remove path
 
-(* The boundary sizes of the disk format: a trace with no events at all,
-   and a trace of exactly one event (the [max len 1] backing-array
-   allocation in [read_channel]). *)
+(* The boundary sizes of the disk format: a trace with no events at all
+   (no blocks, an empty index), and a trace of exactly one event (the
+   [max total 1] backing-array allocation in [read_file]). *)
 let test_disk_roundtrip_edges () =
   let roundtrip what t =
     let path = Filename.temp_file "fstrace" ".fstrace" in

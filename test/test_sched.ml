@@ -118,25 +118,16 @@ let test_steal_events () =
     Alcotest.(check bool) "attempts >= steals" true
       (s.Sched.steal_attempts >= s.Sched.steals)
 
-(* steal events survive both on-disk formats *)
-let test_trace_formats_roundtrip () =
+(* steal events survive the on-disk format *)
+let test_trace_file_roundtrip () =
   let r = record (wl "fib") ~nprocs:4 ~scale:1 in
-  List.iter
-    (fun format ->
-      let path =
-        Filename.temp_file "fs_sched_test"
-          (Printf.sprintf ".v%d.fstrace" (Cell_trace.format_version format))
-      in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          Cell_trace.write_file ~format r.Sim.trace path;
-          let back = Cell_trace.read_file path in
-          Alcotest.(check bool)
-            (Printf.sprintf "v%d round-trip" (Cell_trace.format_version format))
-            true
-            (Cell_trace.equal r.Sim.trace back)))
-    [ Cell_trace.V1; Cell_trace.V2 ]
+  let path = Filename.temp_file "fs_sched_test" ".fstrace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Cell_trace.write_file r.Sim.trace path;
+      Alcotest.(check bool) "round-trip" true
+        (Cell_trace.equal r.Sim.trace (Cell_trace.read_file path)))
 
 (* running a task-parallel program without a seed is an error, never a
    silent default *)
@@ -219,8 +210,8 @@ let suite =
     Alcotest.test_case "distinct seeds diverge" `Quick
       test_distinct_seeds_diverge;
     Alcotest.test_case "steal events" `Quick test_steal_events;
-    Alcotest.test_case "trace formats round-trip" `Quick
-      test_trace_formats_roundtrip;
+    Alcotest.test_case "trace file round-trip" `Quick
+      test_trace_file_roundtrip;
     Alcotest.test_case "seed required" `Quick test_seed_required;
     Alcotest.test_case "instrument required" `Quick test_instrument_required;
     Alcotest.test_case "barrier in task rejected" `Quick

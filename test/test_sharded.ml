@@ -139,9 +139,9 @@ let test_shard_hash_set_aligned () =
    | exception Invalid_argument _ -> ())
 
 (* Streamed replay: a trace written to disk and replayed through the
-   chunked reader — with a chunk far smaller than the trace, so many
-   windows are exercised — produces counts identical to the in-memory
-   path, sharded or not. *)
+   block reader — with blocks far smaller than the trace, so the
+   pipelined decode window runs past block 0 — produces counts identical
+   to the in-memory path, sharded or not. *)
 let test_stream_replay_identity () =
   let w = Ws.find "maxflow" in
   let nprocs = 4 in
@@ -154,13 +154,12 @@ let test_stream_replay_identity () =
     Replay.simulate_sharded trace ~shards:1 ~layout ~config
   in
   let path = Filename.temp_file "fstrace" ".fstrace" in
-  Cell_trace.write_file trace path;
-  let chunk = 1024 in
-  Alcotest.(check bool) "trace spans several chunks" true
-    (Cell_trace.length trace > 2 * chunk);
+  Cell_trace.write_file ~block_events:1024 trace path;
   List.iter
     (fun shards ->
-      let stream = Cell_trace.of_file_stream ~chunk path in
+      let stream = Cell_trace.of_file_stream path in
+      Alcotest.(check bool) "trace spans several blocks" true
+        (Cell_trace.Stream.nblocks stream > 2);
       Alcotest.(check int) "stream length" (Cell_trace.length trace)
         (Cell_trace.Stream.length stream);
       Alcotest.(check int) "stream nprocs" nprocs

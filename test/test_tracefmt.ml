@@ -1,6 +1,6 @@
-(* Trace format v2: round-trips through both on-disk formats, streamed
-   replay identity against the in-memory engine, and corruption
-   detection (truncation anywhere, CRC damage naming the bad block). *)
+(* The on-disk trace format: disk round-trips, streamed replay identity
+   against the in-memory engine, corruption detection (truncation
+   anywhere, CRC damage naming the bad block), and atomic writes. *)
 
 module Ct = Fs_trace.Cell_trace
 module R = Fs_replay.Replay
@@ -44,37 +44,36 @@ let write_all path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 (* ------------------------------------------------------------------ *)
-(* Round-trip property: for every workload, either format, any block
-   granularity, the file reads back equal, and replaying the streamed
-   file through any of the workload's layout versions at 16B or 128B
-   lands on counts bit-identical to the in-memory engine.             *)
+(* Round-trip property: for every workload and any block granularity,
+   the file reads back equal, and replaying the streamed file through
+   any of the workload's layout versions at 16B or 128B, on one or two
+   shards, lands on counts bit-identical to the in-memory engine.     *)
 
 let prop_roundtrip =
   QCheck.Test.make
     ~name:
-      "disk round-trip + streamed replay identity (workloads x formats x \
-       versions x {16,128}B)"
+      "disk round-trip + streamed replay identity (workloads x versions x \
+       {16,128}B)"
     ~count:48
     QCheck.(
       quad
         (int_range 0 (List.length names - 1))
-        (int_range 0 23) (int_range 1 300) bool)
+        (int_range 0 5) (int_range 1 300) bool)
     (fun (wi, mix, block_events, big_block) ->
       let name = List.nth names wi in
       let w, nprocs, prog, r = trace_of name in
       let trace = r.Sim.trace in
-      let format = if mix / 3 mod 2 = 0 then Ct.V1 else Ct.V2 in
       let block = if big_block then 128 else 16 in
-      let shards = 1 + (mix / 6 mod 2) in
+      let shards = 1 + (mix / 3 mod 2) in
       let version =
         List.nth w.W.versions (mix mod List.length w.W.versions)
       in
       with_tmp "prop" @@ fun path ->
-      Ct.write_file ~format ~block_events trace path;
+      Ct.write_file ~block_events trace path;
       let back = Ct.read_file path in
       if not (Ct.equal trace back) then
-        QCheck.Test.fail_reportf "%s: %s round-trip not equal" name
-          (match format with Ct.V1 -> "v1" | Ct.V2 -> "v2");
+        QCheck.Test.fail_reportf "%s: round-trip not equal (block_events %d)"
+          name block_events;
       let plan =
         E.plan_for w version prog ~nprocs ~scale:w.W.default_scale
       in
@@ -88,15 +87,13 @@ let prop_roundtrip =
       Ct.Stream.close s;
       if st.R.counts <> reference then
         QCheck.Test.fail_reportf
-          "%s: streamed %s counts differ from in-memory (block %d, %d \
-           shard(s))"
-          name
-          (match format with Ct.V1 -> "v1" | Ct.V2 -> "v2")
-          block shards;
+          "%s: streamed counts differ from in-memory (block %d, %d shard(s), \
+           block_events %d)"
+          name block shards block_events;
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Corruption: v2 must refuse damaged input, never mis-decode it.      *)
+(* Corruption: damaged input is refused, never mis-decoded.           *)
 
 let expect_corrupt what f =
   match f () with
@@ -114,7 +111,7 @@ let u64_at s off =
 let v2_bytes ?(block_events = 1024) name =
   let _, _, _, r = trace_of name in
   let path = tmp "corrupt" in
-  Ct.write_file ~format:Ct.V2 ~block_events r.Sim.trace path;
+  Ct.write_file ~block_events r.Sim.trace path;
   let s = read_all path in
   Sys.remove path;
   s
@@ -123,8 +120,9 @@ let test_truncation () =
   let whole = v2_bytes "pverify" in
   let len = String.length whole in
   let index_off = u64_at whole (len - 24) in
-  (* mid-block, mid-footer (just before the index), and mid-index: every
-     cut destroys the trailer, so both readers refuse at open *)
+  (* mid-block, mid-footer (just before the index), mid-index,
+     mid-trailer, and mid-header (inside the name table): every cut
+     destroys the trailer, so both readers refuse at open *)
   List.iter
     (fun (what, cut) ->
       with_tmp "trunc" @@ fun path ->
@@ -136,7 +134,8 @@ let test_truncation () =
     [ ("mid-block", index_off / 2);
       ("mid-footer", index_off - 4);
       ("mid-index", index_off + ((len - 24 - index_off) / 2));
-      ("mid-trailer", len - 9) ]
+      ("mid-trailer", len - 9);
+      ("mid-header", 29) ]
 
 let test_crc_corruption () =
   let whole = v2_bytes "pverify" in
@@ -191,44 +190,31 @@ let test_index_crc () =
     (expect_corrupt "damaged index" (fun () -> Ct.of_file_stream path))
 
 (* ------------------------------------------------------------------ *)
-(* Conversion: v2 -> v1 -> v2 through the streaming Writer preserves
-   the event stream exactly (the CLI's `trace convert` path).          *)
+(* Atomic writes: a write that fails part-way leaves neither the target
+   nor its temp file behind.                                           *)
 
-let test_convert_roundtrip () =
-  let _, _, _, r = trace_of "mp3d" in
-  let trace = r.Sim.trace in
-  let convert src format dst =
-    let s = Ct.of_file_stream src in
-    let wr =
-      Ct.Writer.create ~format ~block_events:512 ~vars:(Ct.Stream.vars s)
-        ~nprocs:(Ct.Stream.nprocs s) dst
-    in
-    Ct.Stream.iter_chunks
-      (fun buf n ->
-        for i = 0 to n - 1 do
-          Ct.Writer.push wr buf.(i)
-        done)
-      s;
-    Ct.Writer.close wr;
-    Ct.Stream.close s
-  in
-  with_tmp "conv2" @@ fun p2 ->
-  with_tmp "conv1" @@ fun p1 ->
-  with_tmp "conv2b" @@ fun p2b ->
-  Ct.write_file ~format:Ct.V2 trace p2;
-  convert p2 Ct.V1 p1;
-  convert p1 Ct.V2 p2b;
-  Alcotest.(check bool) "sniffed v1" true (Ct.file_format p1 = Ct.V1);
-  Alcotest.(check bool) "sniffed v2" true (Ct.file_format p2b = Ct.V2);
-  Alcotest.(check bool) "v2 -> v1 -> v2 equal" true
-    (Ct.equal trace (Ct.read_file p2b))
+let test_failed_write_leaves_nothing () =
+  (* proc 3 in a one-processor trace: [create] and [push] accept it, the
+     encoder refuses it against the header *)
+  let trace = Ct.create ~vars:[| "x" |] ~nprocs:1 in
+  let r = Ct.recorder trace in
+  r.Fs_trace.Cell_listener.access ~proc:0 ~write:false ~var:0 ~cell:0;
+  r.Fs_trace.Cell_listener.access ~proc:3 ~write:true ~var:0 ~cell:1;
+  let path = tmp "fail" in
+  Sys.remove path;
+  (match Ct.write_file trace path with
+   | () -> Alcotest.fail "expected Invalid_argument"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no target file" false (Sys.file_exists path);
+  Alcotest.(check bool) "no temp file" false (Sys.file_exists (path ^ ".tmp"))
 
 let suite =
-  [ Alcotest.test_case "v2 truncation refused (block/footer/index/trailer)"
-      `Quick test_truncation;
+  [ Alcotest.test_case
+      "v2 truncation refused (block/footer/index/trailer/header)" `Quick
+      test_truncation;
     Alcotest.test_case "v2 CRC damage names the bad block" `Quick
       test_crc_corruption;
     Alcotest.test_case "v2 index damage refused at open" `Quick test_index_crc;
-    Alcotest.test_case "convert round-trip v2 -> v1 -> v2" `Quick
-      test_convert_roundtrip;
+    Alcotest.test_case "failed write leaves no file behind" `Quick
+      test_failed_write_leaves_nothing;
     QCheck_alcotest.to_alcotest prop_roundtrip ]

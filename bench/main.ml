@@ -7,7 +7,7 @@
 
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
-     sharded | tracefmt | tracescale | telemetry | micro |
+     engine | tracefmt | tracescale | telemetry | micro |
      ablation | repair | stealing | phases
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
@@ -15,10 +15,9 @@
    deterministic section drifted from the committed baseline or ran
    slower than the baseline by more than the tolerance factor
    (`--tolerance F`, default 10).  `--jobs N` sets the number of worker
-   domains for parallel replay (default: the FALSESHARE_JOBS environment
-   variable, else the recommended domain count); `--shards N` adds an
-   extra point to the simspeed scaling-vs-domains curve (the default
-   curve sweeps shards in {1, 2, 4, default_jobs}).
+   domains that independent runs fan out over (default: the
+   FALSESHARE_JOBS environment variable, else the recommended domain
+   count).
 
    Besides the text tables, every run writes BENCH_results.json
    (atomically: temp file + rename) — the same records in
@@ -186,11 +185,12 @@ let replay_bench ~jobs () =
    the engine the flat-array rewrite replaced (bench/legacy_cache.ml:
    hashtables + int-list LRU sets, driven through the listener path),
    the live flat-array engine on the same listener path, and the fused
-   packed-replay loop.  legacy -> fused is the rewrite's total win;
-   reference -> fused isolates the per-event unpack + dispatch +
-   outcome-boxing cost the fused loop removes.                         *)
+   packed-replay loop, in memory and streamed from a v2 file.  legacy ->
+   fused is the rewrite's total win; reference -> fused isolates the
+   per-event unpack + dispatch + outcome-boxing cost the fused loop
+   removes; fused -> streamed is the cost of decoding.                 *)
 
-let simspeed ~extra_shards () =
+let simspeed () =
   section "Simulator hot path - fused packed replay vs listener paths \
            (pverify, unoptimized, 128B)";
   let w = Ws.find "pverify" in
@@ -217,21 +217,34 @@ let simspeed ~extra_shards () =
   in
   let fused () =
     let c = C.create ~max_addr (C.default_config ~nprocs ~block:128) in
-    Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache:c;
-    C.counts c
+    (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache:c)
+      .Fs_replay.Replay.counts
+  in
+  (* the same trace from the on-disk v2 form, one block at a time
+     through the engine's reused buffer, so the trace never
+     materializes as an array *)
+  let v2_path = tmp_trace "simspeed" in
+  Ct.write_file recorded.Sim.trace v2_path;
+  let stream = Ct.of_file_stream v2_path in
+  let trace_bytes = Ct.Stream.byte_size stream in
+  let streamed () =
+    let c = C.create ~max_addr (C.default_config ~nprocs ~block:128) in
+    (Fs_replay.Replay.simulate_stream stream ~layout ~cache:c)
+      .Fs_replay.Replay.counts
   in
   (* identical counts is load-bearing: the throughput comparison is only
-     meaningful because the three engines are interchangeable *)
+     meaningful because the four runs are interchangeable *)
   let c_fused = fused () in
   assert (legacy () = c_fused);
   assert (reference () = c_fused);
+  assert (streamed () = c_fused);
   (* interleaved trials, min per engine: each engine sees the same
      machine conditions within a round, and the min is insensitive to
      GC pauses and scheduler noise on these short runs.  The
      full_major keeps one engine's garbage from being collected on
      another engine's clock. *)
   let t_legacy = ref infinity and t_ref = ref infinity
-  and t_fused = ref infinity in
+  and t_fused = ref infinity and t_stream = ref infinity in
   let trial best f =
     Gc.full_major ();
     let t = snd (time_it (fun () ->
@@ -242,154 +255,35 @@ let simspeed ~extra_shards () =
   for _ = 1 to 4 do
     trial t_legacy legacy;
     trial t_ref reference;
-    trial t_fused fused
+    trial t_fused fused;
+    trial t_stream streamed
   done;
-  let t_legacy = !t_legacy and t_ref = !t_ref and t_fused = !t_fused in
+  Ct.Stream.close stream;
+  Sys.remove v2_path;
+  let t_legacy = !t_legacy and t_ref = !t_ref and t_fused = !t_fused
+  and t_stream = !t_stream in
   let rate t =
     if t > 0. then float_of_int (events * reps) /. t /. 1e6 else 0.
   in
   let speedup num den = if den > 0. then num /. den else 0. in
+  (* effective read bandwidth of the streamed run *)
+  let mbs =
+    if t_stream > 0. then
+      float_of_int (trace_bytes * reps) /. t_stream /. (1024. *. 1024.)
+    else 0.
+  in
   Printf.printf
     "pre-rewrite engine, listener path: %.3fs  (%.1f Mevents/s)\n\
      flat-array engine, listener path:  %.3fs  (%.1f Mevents/s)\n\
      flat-array engine, fused loop:     %.3fs  (%.1f Mevents/s)\n\
+     fused loop, streamed v2 file:      %.3fs  (%.1f Mevents/s, %.1f MB/s \
+     read)\n\
      fused vs pre-rewrite: %.2fx | fused vs listener path: %.2fx \
      (%d events x%d, identical counts)\n"
     t_legacy (rate t_legacy) t_ref (rate t_ref) t_fused (rate t_fused)
+    t_stream (rate t_stream) mbs
     (speedup t_legacy t_fused) (speedup t_ref t_fused) events reps;
-  (* scaling vs domains: the same trace through the sharded engine, one
-     point per shard count, each on a persistent pool of [shards]
-     workers (deliberately oversubscribed when the box has fewer cores —
-     the curve then reports what sharding costs there, not a guess).
-     Counts are asserted bit-identical to the fused run at every point. *)
-  let module R = Fs_replay.Replay in
-  let points =
-    List.sort_uniq compare
-      (List.filter
-         (fun n -> n >= 1)
-         ([ 1; 2; 4; Fs_util.Par.default_jobs () ] @ extra_shards))
-  in
-  let config = C.default_config ~nprocs ~block:128 in
-  let run_sharded shards pool () =
-    (R.simulate_sharded ?pool recorded.Sim.trace ~shards ~layout ~config)
-      .R.counts
-  in
-  let reps_s = 5 in
-  let runs =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        (shards, pool, ref infinity))
-      points
-  in
-  (* warm-up doubles as the identity check *)
-  List.iter
-    (fun (shards, pool, _) -> assert (run_sharded shards pool () = c_fused))
-    runs;
-  for _ = 1 to 3 do
-    List.iter
-      (fun (shards, pool, best) ->
-        Gc.full_major ();
-        let t =
-          snd
-            (time_it (fun () ->
-                 for _ = 1 to reps_s do
-                   ignore (run_sharded shards pool ())
-                 done))
-        in
-        if t < !best then best := t)
-      runs
-  done;
-  let rate_s t =
-    if t > 0. then float_of_int (events * reps_s) /. t /. 1e6 else 0.
-  in
-  let scaling =
-    List.map
-      (fun (shards, pool, best) ->
-        let utilization =
-          match pool with
-          | None -> []
-          | Some p ->
-            let st = Fs_util.Par.Pool.stats p in
-            let u =
-              Array.to_list
-                (Array.map
-                   (fun w -> Fs_util.Par.utilization st w)
-                   st.Fs_util.Par.workers)
-            in
-            Fs_util.Par.Pool.shutdown p;
-            u
-        in
-        let t = !best in
-        Printf.printf
-          "sharded, %d shard(s): %.3fs  (%.1f Mevents/s, %.2fx vs fused)\n"
-          shards t (rate_s t)
-          (speedup (t_fused *. float_of_int reps_s /. float_of_int reps) t);
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("seconds", Json.float t);
-            ("mevents_per_s", Json.float (rate_s t));
-            ("speedup_vs_fused",
-             Json.float
-               (speedup (t_fused *. float_of_int reps_s /. float_of_int reps) t));
-            ("counts_identical", Json.Bool true);
-            ("worker_utilization",
-             Json.List (List.map Json.float utilization)) ])
-      runs
-  in
-  (* the same curve against the on-disk v2 form: blocks decoded on the
-     pool, pipelined one window ahead of the drain, so the trace never
-     materializes as an array.  Reported with the bytes actually read
-     and the effective bandwidth that implies. *)
-  let v2_path = tmp_trace "simspeed" in
-  Ct.write_file recorded.Sim.trace v2_path;
-  let stream = Ct.of_file_stream v2_path in
-  let trace_bytes = Ct.Stream.byte_size stream in
-  let streamed =
-    List.map
-      (fun shards ->
-        let pool =
-          if shards > 1 then Some (Fs_util.Par.Pool.create ~jobs:shards ())
-          else None
-        in
-        let run () =
-          (R.simulate_sharded_stream ?pool stream ~shards ~layout ~config)
-            .R.counts
-        in
-        assert (run () = c_fused);
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          Gc.full_major ();
-          let t =
-            snd (time_it (fun () ->
-                for _ = 1 to reps_s do ignore (run ()) done))
-          in
-          if t < !best then best := t
-        done;
-        (match pool with Some p -> Fs_util.Par.Pool.shutdown p | None -> ());
-        let t = !best in
-        let mbs =
-          if t > 0. then
-            float_of_int (trace_bytes * reps_s) /. t /. (1024. *. 1024.)
-          else 0.
-        in
-        Printf.printf
-          "streamed v2, %d shard(s): %.3fs  (%.1f Mevents/s, %.1f MB/s read)\n"
-          shards t (rate_s t) mbs;
-        Json.Obj
-          [ ("shards", Json.Int shards);
-            ("seconds", Json.float t);
-            ("mevents_per_s", Json.float (rate_s t));
-            ("mb_per_s", Json.float mbs);
-            ("counts_identical", Json.Bool true) ])
-      points
-  in
-  Ct.Stream.close stream;
-  Sys.remove v2_path;
-  record "simspeed" ~seconds:(t_legacy +. t_ref +. t_fused)
+  record "simspeed" ~seconds:(t_legacy +. t_ref +. t_fused +. t_stream)
     (Json.Obj
        [ ("events", Json.Int events);
          ("reps", Json.Int reps);
@@ -401,9 +295,13 @@ let simspeed ~extra_shards () =
          ("fused_mevents_per_s", Json.float (rate t_fused));
          ("speedup_vs_legacy", Json.float (speedup t_legacy t_fused));
          ("speedup_vs_reference", Json.float (speedup t_ref t_fused));
-         ("scaling", Json.List scaling);
          ("trace_bytes", Json.Int trace_bytes);
-         ("streamed_v2", Json.List streamed) ])
+         ("streamed_v2",
+          Json.Obj
+            [ ("seconds", Json.float t_stream);
+              ("mevents_per_s", Json.float (rate t_stream));
+              ("mb_per_s", Json.float mbs);
+              ("counts_identical", Json.Bool true) ]) ])
 
 (* ------------------------------------------------------------------ *)
 (* The on-disk trace format: file size and the streamed replay path.
@@ -428,15 +326,14 @@ let tracefmt () =
         let events = Ct.length trace in
         let layout = Layout.default prog ~block:128 in
         let config = C.default_config ~nprocs ~block:128 in
-        let reference =
-          (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
-        in
+        let cache () = C.create ~max_addr:(Layout.size layout) config in
+        let reference = (R.simulate trace ~layout ~cache:(cache ())).R.counts in
         (* the file must replay from disk to the exact in-memory counts —
            the size only matters if the round trip is lossless *)
         let path = tmp_trace w.name in
         Ct.write_file trace path;
         let s = Ct.of_file_stream path in
-        let st = R.simulate_sharded_stream s ~shards:1 ~layout ~config in
+        let st = R.simulate_stream s ~layout ~cache:(cache ()) in
         assert (st.R.counts = reference);
         let bytes = Ct.Stream.byte_size s in
         Ct.Stream.close s;
@@ -462,18 +359,17 @@ let tracefmt () =
   record "tracefmt" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
 
 (* the scale-up path: stream a >=10^8-event recording to disk (constant
-   memory while recording), then replay it through the sharded streamed
-   engine — the whole point of v2 is that neither side ever holds the
-   trace, so peak heap stays at the decode window while the file runs
-   to hundreds of megabytes *)
+   memory while recording), then replay it streamed through the engine —
+   the whole point of v2 is that neither side ever holds the trace, so
+   peak heap stays at one decoded block while the file runs to hundreds
+   of megabytes *)
 
-let tracefmt_scale ~jobs () =
+let tracefmt_scale () =
   section "Trace format v2 - 10^8-event recordings streamed end to end \
-           (record -> v2 file -> sharded streamed replay, bounded heap)";
+           (record -> v2 file -> streamed replay, bounded heap)";
   let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
   let target = 100_000_000 in
-  let shards = max 2 (min 4 jobs) in
   let payloads =
     List.map
       (fun name ->
@@ -521,17 +417,15 @@ let tracefmt_scale ~jobs () =
         let layout = Layout.default prog ~block:128 in
         let config = C.default_config ~nprocs ~block:128 in
         let s = Ct.of_file_stream path in
+        let cache = C.create ~max_addr:(Layout.size layout) config in
         let st, replay_s =
-          time_it (fun () ->
-              R.simulate_sharded_stream s ~shards ~layout ~config)
+          time_it (fun () -> R.simulate_stream s ~layout ~cache)
         in
         assert (C.accesses st.R.counts > 0);
         let epochs = Array.length st.R.epochs in
-        (* the decode window: (jobs + 1) block buffers of boxed ints — the
-           streamed engine's whole per-trace allocation *)
-        let window_bytes =
-          (shards + 1) * Ct.Stream.max_block_events s * 8
-        in
+        (* the decode buffer: one block of boxed ints — the streamed
+           engine's whole per-trace allocation *)
+        let buffer_bytes = Ct.Stream.max_block_events s * 8 in
         Ct.Stream.close s;
         Sys.remove path;
         let top_heap_mb =
@@ -544,13 +438,13 @@ let tracefmt_scale ~jobs () =
         in
         Printf.printf
           "%-10s %9d events -> %d bytes (%.2f B/event) in %.1fs; streamed \
-           replay %.1fs (%.1f Mevents/s, %.1f MB/s, %d shards, %d epochs)\n\
-           %-10s decode window %.1f MB, process top-of-heap %.1f MB (the \
+           replay %.1fs (%.1f Mevents/s, %.1f MB/s, %d epochs)\n\
+           %-10s decode buffer %.1f MB, process top-of-heap %.1f MB (the \
            in-memory trace alone would need %.0f MB)\n"
           name events bytes
           (float_of_int bytes /. float_of_int events)
-          record_s replay_s rate mbs shards epochs ""
-          (float_of_int window_bytes /. (1024. *. 1024.))
+          record_s replay_s rate mbs epochs ""
+          (float_of_int buffer_bytes /. (1024. *. 1024.))
           top_heap_mb
           (float_of_int (events * 8) /. (1024. *. 1024.));
         Json.Obj
@@ -565,9 +459,8 @@ let tracefmt_scale ~jobs () =
             ("replay_seconds", Json.float replay_s);
             ("replay_mevents_per_s", Json.float rate);
             ("replay_mb_per_s", Json.float mbs);
-            ("shards", Json.Int shards);
             ("epochs", Json.Int epochs);
-            ("decode_window_bytes", Json.Int window_bytes);
+            ("decode_buffer_bytes", Json.Int buffer_bytes);
             ("top_heap_mb", Json.float top_heap_mb) ])
       [ "pverify"; "maxflow" ]
   in
@@ -577,9 +470,9 @@ let tracefmt_scale ~jobs () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the flight recorder's budget is <3% on the fused
    replay loop.  Same methodology as simspeed — interleaved min-of-N
-   trials over the same trace — comparing the recorder-disabled loop
-   (which must be the untouched original: zero cost off) against the
-   instrumented twin sampling at the default interval.                 *)
+   trials over the same trace — comparing the loop without a recorder
+   (one chunk) against the same loop cut into interval-sized chunks
+   with a sample at each boundary.                                     *)
 
 let telemetry_bench () =
   section "Telemetry - flight recorder overhead on the fused replay loop \
@@ -595,11 +488,11 @@ let telemetry_bench () =
   let flight = Fs_replay.Flight.create () in
   let run_fused flight () =
     let c = C.create ~max_addr (C.default_config ~nprocs ~block:128) in
-    Fs_replay.Replay.simulate ?flight recorded.Sim.trace ~layout ~cache:c;
-    C.counts c
+    (Fs_replay.Replay.simulate ?flight recorded.Sim.trace ~layout ~cache:c)
+      .Fs_replay.Replay.counts
   in
   (* counts must be bit-identical with the recorder on or off — the
-     instrumented loop only reads the live counters, never feeds them *)
+     recorder only reads the live counters, never feeds them *)
   let c_off = run_fused None () in
   let c_on = run_fused (Some flight) () in
   let counts_identical = c_off = c_on in
@@ -612,7 +505,7 @@ let telemetry_bench () =
     in
     if t < !best then best := t
   in
-  (* eight interleaved trials: the instrumented loop does zero per-event
+  (* eight interleaved trials: the recorder does zero per-event
      work, so the measured delta is min-of-N jitter — more trials tighten
      both minima and keep the reported ratio honest on a noisy box *)
   for _ = 1 to 8 do
@@ -803,14 +696,14 @@ let phases_bench () =
          ("ratio", Json.float ratio) ])
 
 (* ------------------------------------------------------------------ *)
-(* Sharded replay: deterministic bit-identity + epoch reconciliation.
-   Unlike the simspeed scaling curve (wall-clock, nondeterministic),
+(* The replay engine: deterministic bit-identity + epoch reconciliation.
+   Unlike the simspeed timings (wall-clock, nondeterministic),
    everything here is exact experiment data, so the baseline gate
    compares it bit for bit.                                            *)
 
-let sharded_bench () =
-  section "Sharded replay - bit-identity vs the listener path \
-           (pverify and topopt, unoptimized, 16B and 128B)";
+let engine_bench () =
+  section "Replay engine - bit-identity vs the listener path, in memory \
+           and streamed (pverify and topopt, unoptimized, 16B and 128B)";
   let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
   let rows = ref [] in
@@ -825,64 +718,56 @@ let sharded_bench () =
            v2 file through the streamed engine and must land on the same
            counts, so the bit-identity evidence covers the on-disk path
            and reports the bytes it read *)
-        let v2_path = tmp_trace ("sharded-" ^ name) in
+        let v2_path = tmp_trace ("engine-" ^ name) in
         Ct.write_file recorded.Sim.trace v2_path;
         let stream = Ct.of_file_stream v2_path in
         let trace_bytes = Ct.Stream.byte_size stream in
         let out =
-          List.concat_map
+          List.map
             (fun block ->
               let layout = Layout.default prog ~block in
               let config = C.default_config ~nprocs ~block in
+              let cache () = C.create ~max_addr:(Layout.size layout) config in
               let reference =
-                let c = C.create ~max_addr:(Layout.size layout) config in
-                Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-                  ~sink:(C.sink c);
+                let c = cache () in
+                R.replay_to_sink recorded.Sim.trace ~layout ~sink:(C.sink c);
                 C.counts c
               in
-              List.map
-                (fun shards ->
-                  let s =
-                    R.simulate_sharded recorded.Sim.trace ~shards ~layout
-                      ~config
-                  in
-                  let identical = s.R.counts = reference in
-                  let esum = C.zero_counts () in
-                  Array.iter (fun e -> C.add_into esum e) s.R.epochs;
-                  let epochs_sum_ok = esum = s.R.counts in
-                  let streamed, stream_s =
-                    time_it (fun () ->
-                        R.simulate_sharded_stream stream ~shards ~layout
-                          ~config)
-                  in
-                  let stream_identical = streamed.R.counts = reference in
-                  (* load-bearing: a drifted shard must fail the bench run
-                     itself, not just the baseline diff *)
-                  assert identical;
-                  assert epochs_sum_ok;
-                  assert stream_identical;
-                  let mbs =
-                    float_of_int trace_bytes /. (1024. *. 1024.)
-                    /. Float.max 1e-9 stream_s
-                  in
-                  rows :=
-                    [ name; string_of_int block; string_of_int shards;
-                      string_of_int (C.misses s.R.counts);
-                      string_of_int s.R.counts.C.false_sh;
-                      string_of_int (Array.length s.R.epochs); "yes";
-                      Printf.sprintf "%.0f" mbs ]
-                    :: !rows;
-                  Json.Obj
-                    [ ("workload", Json.String name);
-                      ("block", Json.Int block);
-                      ("shards", Json.Int shards);
-                      ("identical", Json.Bool identical);
-                      ("epochs", Json.Int (Array.length s.R.epochs));
-                      ("epochs_sum_ok", Json.Bool epochs_sum_ok);
-                      ("stream_identical", Json.Bool stream_identical);
-                      ("trace_bytes", Json.Int trace_bytes);
-                      ("counts", Emit.counts s.R.counts) ])
-                [ 1; 2; 4 ])
+              let s = R.simulate recorded.Sim.trace ~layout ~cache:(cache ()) in
+              let identical = s.R.counts = reference in
+              let esum = C.zero_counts () in
+              Array.iter (fun e -> C.add_into esum e) s.R.epochs;
+              let epochs_sum_ok = esum = s.R.counts in
+              let streamed, stream_s =
+                time_it (fun () ->
+                    R.simulate_stream stream ~layout ~cache:(cache ()))
+              in
+              let stream_identical = streamed.R.counts = reference in
+              (* load-bearing: a drifted engine must fail the bench run
+                 itself, not just the baseline diff *)
+              assert identical;
+              assert epochs_sum_ok;
+              assert stream_identical;
+              let mbs =
+                float_of_int trace_bytes /. (1024. *. 1024.)
+                /. Float.max 1e-9 stream_s
+              in
+              rows :=
+                [ name; string_of_int block;
+                  string_of_int (C.misses s.R.counts);
+                  string_of_int s.R.counts.C.false_sh;
+                  string_of_int (Array.length s.R.epochs); "yes";
+                  Printf.sprintf "%.0f" mbs ]
+                :: !rows;
+              Json.Obj
+                [ ("workload", Json.String name);
+                  ("block", Json.Int block);
+                  ("identical", Json.Bool identical);
+                  ("epochs", Json.Int (Array.length s.R.epochs));
+                  ("epochs_sum_ok", Json.Bool epochs_sum_ok);
+                  ("stream_identical", Json.Bool stream_identical);
+                  ("trace_bytes", Json.Int trace_bytes);
+                  ("counts", Emit.counts s.R.counts) ])
             [ 16; 128 ]
         in
         Ct.Stream.close stream;
@@ -893,10 +778,10 @@ let sharded_bench () =
   print_string
     (Fs_util.Table.render
        ~header:
-         [ "program"; "block"; "shards"; "misses"; "false sh"; "epochs";
-           "identical"; "stream MB/s" ]
+         [ "program"; "block"; "misses"; "false sh"; "epochs"; "identical";
+           "stream MB/s" ]
        (List.rev !rows));
-  record "sharded" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
+  record "engine" ~seconds:(Unix.gettimeofday () -. t0) (Json.List payloads)
 
 (* ------------------------------------------------------------------ *)
 (* Serving: daemon latency over loopback, cold store vs warm           *)
@@ -1154,7 +1039,6 @@ let () =
   let t0 = Unix.gettimeofday () in
   let jobs = ref (Fs_util.Par.default_jobs ()) in
   let tolerance = ref 10.0 in
-  let extra_shards = ref [] in
   let positional = ref [] in
   let rec parse = function
     | [] -> ()
@@ -1163,12 +1047,6 @@ let () =
       parse rest
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
       jobs := int_of_string (String.sub a 7 (String.length a - 7));
-      parse rest
-    | "--shards" :: n :: rest ->
-      extra_shards := int_of_string n :: !extra_shards;
-      parse rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--shards=" ->
-      extra_shards := int_of_string (String.sub a 9 (String.length a - 9)) :: !extra_shards;
       parse rest
     | "--tolerance" :: f :: rest ->
       tolerance := float_of_string f;
@@ -1196,11 +1074,10 @@ let () =
   if all || gate || pick = "table3" then table3 ~procs ~jobs ();
   if all || gate || pick = "exectime" then exectime ~procs ~jobs ();
   if all || pick = "replay" then replay_bench ~jobs ();
-  if all || gate || pick = "simspeed" then
-    simspeed ~extra_shards:!extra_shards ();
-  if all || gate || pick = "sharded" then sharded_bench ();
+  if all || gate || pick = "simspeed" then simspeed ();
+  if all || gate || pick = "engine" then engine_bench ();
   if all || gate || pick = "tracefmt" then tracefmt ();
-  if all || pick = "tracescale" then tracefmt_scale ~jobs ();
+  if all || pick = "tracescale" then tracefmt_scale ();
   if all || gate || pick = "telemetry" then telemetry_bench ();
   if all || gate || pick = "ablation" then ablation ();
   if all || gate || pick = "repair" then repair_bench ~jobs ();

@@ -64,17 +64,10 @@ let jobs_arg =
   Arg.(value
        & opt int (Fs_util.Par.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for parallel replay (default: the \
+           ~doc:"Worker domains for independent runs, such as one replay \
+                 per version or layout (default: the \
                  $(b,FALSESHARE_JOBS) environment variable, else the \
                  recommended domain count).")
-
-let shards_arg =
-  Arg.(value
-       & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the cache replay across $(docv) domains (counts are \
-                 bit-identical to $(b,--shards 1); versions then run \
-                 sequentially so the shard pool owns the cores).")
 
 let layout_arg =
   Arg.(value
@@ -275,27 +268,17 @@ let sim_versions w prog ~nprocs ~scale =
     (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
 
 let sim_cmd =
-  let run w nprocs scale block seed jobs shards json () =
+  let run w nprocs scale block seed jobs json () =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
     let versions = sim_versions w prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let runs =
-      (* sharded replay parallelizes inside one run, so the versions run
-         sequentially on one shared pool instead of fanning out across
-         domains twice *)
-      if shards > 1 then
-        Fs_util.Par.Pool.with_pool ~jobs:(min shards jobs) (fun pool ->
-            List.map
-              (fun (name, plan) ->
-                (name, Sim.cache_sim ~shards ~pool ~recorded prog plan ~nprocs ~block))
-              versions)
-      else
-        Fs_util.Par.map ~jobs
-          (fun (name, plan) ->
-            (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
-          versions
+      Fs_util.Par.map ~jobs
+        (fun (name, plan) ->
+          (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
+        versions
     in
     if json then print_json (Emit.sim ~workload:w.W.name ~nprocs ~block runs)
     else begin
@@ -321,7 +304,7 @@ let sim_cmd =
           interpreted once and replayed under each version's layout.")
     (telemetrize "sim"
        Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ jobs_arg $ shards_arg $ json_arg))
+             $ sched_seed_arg $ jobs_arg $ json_arg))
 
 (* --- speedup --- *)
 
@@ -850,8 +833,23 @@ let trace_file_arg =
 
 let mb = 1024. *. 1024.
 
+(* A trace file is input from outside the program: a damaged, truncated
+   or foreign one ends the command with one line naming the file and the
+   cause, never an uncaught exception. *)
+let trace_error path cause =
+  Printf.eprintf "falseshare: %s: %s\n" path cause;
+  exit 1
+
+let open_trace path =
+  match Ct.of_file_stream path with
+  | s -> s
+  | exception Ct.Corrupt msg ->
+    trace_error path ("not a valid trace file (" ^ msg ^ ")")
+  | exception Sys_error msg -> trace_error path msg
+  | exception Unix.Unix_error (e, _, _) -> trace_error path (Unix.error_message e)
+
 let trace_stat_json path =
-  let s = Ct.of_file_stream path in
+  let s = open_trace path in
   let events = Ct.Stream.length s in
   let bytes = Ct.Stream.byte_size s in
   let j =
@@ -958,28 +956,35 @@ let trace_replay_cmd =
   let workload_pos1 =
     Arg.(required & pos 1 (some wconv) None & info [] ~docv:"WORKLOAD")
   in
-  let run path w scale block version shards jobs json () =
-    let s = Ct.of_file_stream path in
+  let run path w scale block version json () =
+    let s = open_trace path in
     let nprocs = Ct.Stream.nprocs s in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
     let plan = plan_of w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let config = C.default_config ~nprocs ~block in
+    let cache = C.create ~max_addr:(Fs_layout.Layout.size layout) config in
     let t0 = Unix.gettimeofday () in
-    let sharded =
-      if shards > 1 then
-        Fs_util.Par.Pool.with_pool ~jobs:(min (max shards 2) jobs) (fun pool ->
-            Fs_replay.Replay.simulate_sharded_stream ~pool s ~shards ~layout
-              ~config)
-      else
-        Fs_replay.Replay.simulate_sharded_stream s ~shards:1 ~layout ~config
+    let run =
+      (* the trace header names no workload or scale: a foreign trace
+         shows as a variable the layout lacks, or an access outside it *)
+      match Fs_replay.Replay.simulate_stream s ~layout ~cache with
+      | r -> r
+      | exception Ct.Corrupt msg ->
+        trace_error path ("damaged trace (" ^ msg ^ ")")
+      | exception Invalid_argument _ ->
+        trace_error path
+          (Printf.sprintf
+             "recorded for a different workload/scale (replayed as %s at \
+              --scale %d)"
+             w.W.name scale)
     in
     let dt = Unix.gettimeofday () -. t0 in
     let events = Ct.Stream.length s in
     let bytes = Ct.Stream.byte_size s in
     Ct.Stream.close s;
-    let c = sharded.Fs_replay.Replay.counts in
+    let c = run.Fs_replay.Replay.counts in
     if json then
       print_json
         (Json.Obj
@@ -987,7 +992,6 @@ let trace_replay_cmd =
              ("workload", Json.String w.W.name);
              ("nprocs", Json.Int nprocs);
              ("block", Json.Int block);
-             ("shards", Json.Int shards);
              ("events", Json.Int events);
              ("bytes", Json.Int bytes);
              ("seconds", Json.Float dt);
@@ -995,7 +999,7 @@ let trace_replay_cmd =
               Json.Float (float_of_int events /. 1e6 /. Float.max 1e-9 dt));
              ("mb_per_s",
               Json.Float (float_of_int bytes /. mb /. Float.max 1e-9 dt));
-             ("epochs", Json.Int (Array.length sharded.Fs_replay.Replay.epochs));
+             ("epochs", Json.Int (Array.length run.Fs_replay.Replay.epochs));
              ("counts",
               Json.Obj
                 [ ("accesses", Json.Int (C.accesses c));
@@ -1007,13 +1011,12 @@ let trace_replay_cmd =
     else begin
       Printf.printf
         "replayed %s through %s/%s: %d events in %.2fs (%.1f Mevents/s, \
-         %.1f MB/s read, shards %d)\n"
+         %.1f MB/s read)\n"
         path w.W.name
         (match version with `U -> "unoptimized" | `C -> "compiler" | `P -> "programmer")
         events dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
-        (float_of_int bytes /. mb /. Float.max 1e-9 dt)
-        shards;
+        (float_of_int bytes /. mb /. Float.max 1e-9 dt);
       let header = [ "accesses"; "misses"; "false sharing"; "miss rate" ] in
       print_string
         (Fs_util.Table.render ~header
@@ -1026,14 +1029,13 @@ let trace_replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Replay a recorded trace file through a workload's layout with \
-          the streamed sharded engine (decode pipelined onto the pool), \
-          reporting counts, Mevents/s, and effective read bandwidth.  The \
-          processor count comes from the trace; pass the same \
-          $(b,--scale) the recording used.")
+         "Replay a recorded trace file through a workload's layout, one \
+          block at a time, reporting counts, Mevents/s, and effective \
+          read bandwidth.  The processor count comes from the trace; pass \
+          the same $(b,--scale) the recording used.")
     (telemetrize "trace-replay"
        Term.(const run $ trace_file_arg $ workload_pos1 $ scale_arg
-             $ block_arg $ layout_arg $ shards_arg $ jobs_arg $ json_arg))
+             $ block_arg $ layout_arg $ json_arg))
 
 let trace_cmd =
   Cmd.group

@@ -621,144 +621,3 @@ let state_of t ~proc ~addr =
     | 2 -> `Modified
     | 1 -> `Shared
     | _ -> `Invalid
-
-(* ------------------------------------------------------------------ *)
-(* Sharding.  The MESI-style lifecycle of a block depends only on the
-   access substream that touches that block, so the simulation splits
-   across domains — but the LRU sets couple blocks: which block a miss
-   evicts depends on the [last_use] interleaving of every resident block
-   of the same (proc, set).  The shard key therefore hashes the {e set}
-   index, not the raw block index: all blocks of one set land in one
-   shard, every cross-block interaction (coherence: none; replacement:
-   set-local) stays inside a shard, and a shard replaying its substream
-   in trace order reproduces the unsharded run's decisions exactly.
-   Shard-local [time] values differ from the global run's, but every
-   comparison the protocol makes (word write time vs. invalidation
-   time, LRU [last_use] ordering) is between events of the same block
-   or set — same shard — where partitioning preserves relative order,
-   so the comparisons, and with them all counts, are bit-identical. *)
-
-type sharding = { s_block_shift : int; s_nsets : int; s_set_mask : int }
-
-let sharding (cfg : config) =
-  if not (Align.is_power_of_two cfg.block) || cfg.block < word_size then
-    invalid_arg "Mpcache.sharding: block must be a power of two >= 4";
-  if cfg.assoc <= 0 || cfg.cache_bytes < cfg.block * cfg.assoc then
-    invalid_arg "Mpcache.sharding: cache too small for one set";
-  let nsets = cfg.cache_bytes / (cfg.block * cfg.assoc) in
-  let rec log2 s n = if n <= 1 then s else log2 (s + 1) (n lsr 1) in
-  { s_block_shift = log2 0 cfg.block;
-    s_nsets = nsets;
-    s_set_mask = (if Align.is_power_of_two nsets then nsets - 1 else 0) }
-
-let[@inline] shard_of_addr s ~shards ~addr =
-  let b = addr lsr s.s_block_shift in
-  let set = if s.s_set_mask <> 0 then b land s.s_set_mask else b mod s.s_nsets in
-  set mod shards
-
-(* Deterministic merges.  Shard-local states are disjoint by block when
-   the caches were fed through {!shard_of_addr}, so merging is summing
-   (counts) and a sorted union (per-block tables); the operations are
-   associative and order-independent, which the property tests pin. *)
-
-let merge_counts a b =
-  let c = copy_counts a in
-  add_into c b;
-  c
-
-let merged_counts caches =
-  let total = zero_counts () in
-  Array.iter (fun t -> add_into total t.totals) caches;
-  total
-
-let merged_proc_counts caches =
-  if Array.length caches = 0 then [||]
-  else begin
-    let nprocs = caches.(0).nprocs in
-    Array.iter
-      (fun t ->
-        if t.nprocs <> nprocs then
-          invalid_arg "Mpcache.merged_proc_counts: mismatched processor counts")
-      caches;
-    let out = Array.init nprocs (fun _ -> zero_counts ()) in
-    Array.iter
-      (fun t -> Array.iteri (fun p c -> add_into out.(p) c) t.per_proc)
-      caches;
-    out
-  end
-
-(* collisions (the same key in two shards) are summed — they cannot
-   happen under set-aligned sharding, but the merge should not silently
-   drop data if a caller partitions differently *)
-let merged_assoc fold_one add caches =
-  let tbl = Hashtbl.create 256 in
-  Array.iter
-    (fun t ->
-      fold_one t (fun key c ->
-          match Hashtbl.find_opt tbl key with
-          | Some acc -> add acc c
-          | None -> Hashtbl.add tbl key c))
-    caches;
-  tbl
-
-let merged_per_block caches =
-  let tbl =
-    merged_assoc
-      (fun t f -> List.iter (fun (b, c) -> f b (copy_counts c)) (per_block t))
-      add_into caches
-  in
-  Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merged_pairs caches =
-  let tbl =
-    merged_assoc
-      (fun t f ->
-        List.iter
-          (fun p -> f (p.block, p.src, p.victim) p)
-          (invalidation_pairs t))
-      (fun _ _ ->
-        invalid_arg "Mpcache.merged_pairs: pair present in two shards")
-      caches
-  in
-  Hashtbl.fold (fun _ p acc -> p :: acc) tbl []
-  |> List.sort (fun a b ->
-         compare (a.block, a.src, a.victim) (b.block, b.src, b.victim))
-
-let merged_lines caches =
-  let tbl =
-    merged_assoc
-      (fun t f -> List.iter (fun l -> f l.line_block l) (lines t))
-      (fun _ _ -> invalid_arg "Mpcache.merged_lines: line present in two shards")
-      caches
-  in
-  Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
-  |> List.sort (fun a b -> compare a.line_block b.line_block)
-
-module Shard = struct
-  type cache = t
-
-  type t = {
-    sh_cache : cache;
-    sh_index : int;
-    sh_count : int;
-    sh : sharding;
-  }
-
-  let create ?track_blocks ?track_pairs ?track_lines ?max_addr ~shards ~index
-      cfg =
-    if shards <= 0 then invalid_arg "Mpcache.Shard.create: shards must be >= 1";
-    if index < 0 || index >= shards then
-      invalid_arg "Mpcache.Shard.create: index out of range";
-    { sh_cache = create ?track_blocks ?track_pairs ?track_lines ?max_addr cfg;
-      sh_index = index;
-      sh_count = shards;
-      sh = sharding cfg }
-
-  let cache t = t.sh_cache
-  let index t = t.sh_index
-  let shards t = t.sh_count
-  let owns t ~addr = shard_of_addr t.sh ~shards:t.sh_count ~addr = t.sh_index
-  let access_raw t ~proc ~write ~addr = access_raw t.sh_cache ~proc ~write ~addr
-  let touch t ~proc ~write ~addr = touch t.sh_cache ~proc ~write ~addr
-end

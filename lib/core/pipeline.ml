@@ -63,7 +63,7 @@ let ingest_machine metrics (r : Ksr.result) =
       set "ksr_lock_stall_cycles" lock)
     r.sync_stall
 
-let run ?options ?(machine = false) ?(epochs = false) ?(shards = 1) ?pool ?plan
+let run ?options ?(machine = false) ?(epochs = false) ?plan
     ?profile ?sched prog ~nprocs ~block =
   Span.timed "pipeline"
     ~attrs:
@@ -119,60 +119,28 @@ let run ?options ?(machine = false) ?(epochs = false) ?(shards = 1) ?pool ?plan
           (fun () -> Sim.record ?sched prog ~nprocs))
   in
   let cache_config = Mpcache.default_config ~nprocs ~block in
-  (* the sharded route covers everything the result surface needs (the
-     per-block table rides on the slabs) except the epoch tracker's
-     per-segment views and the per-event [Metrics.listener] interp_*
-     counters, which need the live listener stream — [epochs] therefore
-     pins the run to the listener path, and a sharded run reports cache
-     metrics only *)
-  let counts, per_block, epoch_list =
-    if shards > 1 && not epochs then begin
-      let sharded =
-        Span.timed "replay+cache"
-          ~attrs:
-            [ ("events", string_of_int (Cell_trace.length recorded.Sim.trace));
-              ("shards", string_of_int shards) ]
-          (fun () ->
-            Profile.time profile "replay+cache"
-              ~events:(fun (_ : Replay.sharded) ->
-                Cell_trace.length recorded.Sim.trace)
-              (fun () ->
-                Replay.simulate_sharded ?pool ~track_blocks:true
-                  recorded.Sim.trace ~shards ~layout ~config:cache_config))
-      in
-      let caches = Replay.sharded_caches sharded in
-      ingest_cache metrics
-        ~proc_counts:(Mpcache.merged_proc_counts caches)
-        ~per_block:(Mpcache.merged_per_block caches);
-      (sharded.Replay.counts, Mpcache.merged_per_block caches, None)
-    end
-    else begin
-      let cache =
-        Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-          cache_config
-      in
-      let tracker, close_epochs =
-        if epochs then Phases.tracker cache else (Listener.null, fun () -> [])
-      in
-      let listener =
-        Listener.combine
-          (Listener.of_sink (Mpcache.sink cache))
-          (Listener.combine (Metrics.listener metrics) tracker)
-      in
-      Span.timed "replay+cache"
-        ~attrs:
-          [ ("events", string_of_int (Cell_trace.length recorded.Sim.trace)) ]
-        (fun () ->
-          Profile.time profile "replay+cache"
-            ~events:(fun () -> Cell_trace.length recorded.Sim.trace)
-            (fun () -> Replay.replay recorded.Sim.trace ~layout ~listener));
-      let epoch_list = if epochs then Some (close_epochs ()) else None in
-      ingest_cache metrics
-        ~proc_counts:(Mpcache.proc_counts cache)
-        ~per_block:(Mpcache.per_block cache);
-      (Mpcache.counts cache, Mpcache.per_block cache, epoch_list)
-    end
+  let cache =
+    Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
+      cache_config
   in
+  let tracker, close_epochs =
+    if epochs then Phases.tracker cache else (Listener.null, fun () -> [])
+  in
+  let listener =
+    Listener.combine
+      (Listener.of_sink (Mpcache.sink cache))
+      (Listener.combine (Metrics.listener metrics) tracker)
+  in
+  Span.timed "replay+cache"
+    ~attrs:
+      [ ("events", string_of_int (Cell_trace.length recorded.Sim.trace)) ]
+    (fun () ->
+      Profile.time profile "replay+cache"
+        ~events:(fun () -> Cell_trace.length recorded.Sim.trace)
+        (fun () -> Replay.replay recorded.Sim.trace ~layout ~listener));
+  let epoch_list = if epochs then Some (close_epochs ()) else None in
+  let counts = Mpcache.counts cache and per_block = Mpcache.per_block cache in
+  ingest_cache metrics ~proc_counts:(Mpcache.proc_counts cache) ~per_block;
   let interp = recorded.Sim.interp in
   let machine_result =
     if not machine then None

@@ -7,9 +7,9 @@
     one row — live cumulative cache counters, wall-clock offset, and the
     block of the most recent access — into a fixed-size ring of parallel
     scalar arrays.  A sample is a handful of unboxed stores and allocates
-    nothing, so the GC never sees the recorder during replay.  When no
-    recorder is passed to {!Replay.simulate} the instrumented loop is not
-    even entered — the disabled path is the untouched original code.
+    nothing, so the GC never sees the recorder during replay.  Samples
+    are taken between chunks of the replay loop, never inside it, so the
+    per-event loop is the same with or without a recorder.
 
     The ring keeps the most recent [capacity] samples (older ones are
     overwritten), which bounds memory for arbitrarily long traces while

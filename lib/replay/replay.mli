@@ -42,91 +42,59 @@ val replay_to_sink :
   sink:Fs_trace.Sink.t ->
   unit
 
+(** {1 The replay engine}
+
+    One chunked loop over packed events: decode each access inline, map
+    it through the oracle's flat arrays, and feed
+    {!Fs_cache.Mpcache.touch} — no per-event variant allocation and no
+    listener dispatch.  Counts are identical to
+    [replay_to_sink _ ~sink:(Mpcache.sink cache)] (the reference path,
+    which remains the route for consumers that need the full listener
+    event stream), and on a cache created with [~track_blocks:true] so
+    are its per-processor and per-block counts. *)
+
+type run = {
+  counts : Fs_cache.Mpcache.counts;  (** the cache's whole-run totals *)
+  epochs : Fs_cache.Mpcache.counts array;
+      (** counts per barrier-release epoch: entry [e] covers the events
+          between release [e - 1] (or the start) and release [e], the
+          last entry the tail after the final release; the entries sum
+          field-wise to [counts] *)
+}
+
 val simulate :
   ?flight:Flight.t ->
   Fs_trace.Cell_trace.t ->
   layout:Fs_layout.Layout.t ->
   cache:Fs_cache.Mpcache.t ->
-  unit
-(** The fused simulator hot path: iterate the packed event stream
-    directly, decode each access inline, map it through the oracle's flat
-    arrays, and feed {!Fs_cache.Mpcache.touch} — no per-event variant
-    allocation and no listener dispatch.  Produces counts identical to
-    [replay_to_sink _ ~sink:(Mpcache.sink cache)] (the reference path,
-    which remains the route for tracking/epoch consumers that need the
-    full listener event stream).
+  run
+(** Replay an in-memory trace into [cache].
 
-    Passing [?flight] runs an instrumented twin of the loop that deposits
-    one allocation-free sample into the {!Flight} ring every
-    [Flight.interval] packed events (live cumulative counts, wall offset,
-    block of the most recent access).  Cache counts are identical with or
-    without a recorder; when [flight] is absent the original
-    uninstrumented loop runs — the disabled path costs nothing. *)
+    Passing [?flight] deposits one allocation-free sample into the
+    {!Flight} ring every [Flight.interval] packed events (live cumulative
+    counts, wall offset, block of the most recent access), at chunk
+    boundaries, so the per-event loop is the same with or without a
+    recorder and the counts are identical.
+    @raise Invalid_argument when the layout lacks a variable or cell the
+    trace touches (a trace of another program or scale). *)
 
-(** {1 Sharded replay}
-
-    One replay spread across domains: the address space is partitioned
-    by cache {e set} (see {!Fs_cache.Mpcache.shard_of_addr}), each shard
-    simulates its private slab, and the merged counts are {e bit
-    identical} to the single-cache run — the coherence protocol never
-    compares state across blocks, and LRU never compares across sets, so
-    set-aligned substreams replayed in trace order lose nothing.
-
-    Epoch cuts at every [Barrier_release] reconcile without cross-domain
-    synchronization: shards snapshot their counts at each cut, and the
-    merged per-epoch deltas telescope to the whole-run totals. *)
-
-type sharded = {
-  shards : Fs_cache.Mpcache.Shard.t array;
-  counts : Fs_cache.Mpcache.counts;
-      (** merged whole-run totals, bit-identical to the unsharded run *)
-  epochs : Fs_cache.Mpcache.counts array;
-      (** merged counts per barrier-release epoch: entry [e] covers the
-          events between release [e - 1] (or the start) and release [e],
-          the last entry the tail after the final release; the entries
-          sum field-wise to [counts] *)
-}
-
-val sharded_caches : sharded -> Fs_cache.Mpcache.t array
-(** The per-shard simulators, by shard index — feed them to the
-    [Mpcache.merged_*] functions for per-block, pair, or line views. *)
-
-val simulate_sharded :
-  ?pool:Fs_util.Par.Pool.t ->
-  ?track_blocks:bool ->
-  ?track_pairs:bool ->
-  ?track_lines:bool ->
-  Fs_trace.Cell_trace.t ->
-  shards:int ->
+val simulate_stream :
+  Fs_trace.Cell_trace.Stream.t ->
   layout:Fs_layout.Layout.t ->
-  config:Fs_cache.Mpcache.config ->
-  sharded
-(** [shards = 1] runs the fused loop (plus the epoch cut) on the calling
-    domain — no pool, no partitioning.  [shards > 1] alternates two pool
-    barriers per chunk: a parallel partition of the packed events into
-    per-shard batches, then a parallel drain of each shard's batch into
-    its slab.  [pool] supplies a persistent {!Fs_util.Par.Pool} to run
-    on (e.g. to amortize across many replays or to control [jobs]);
-    without it a pool of [min shards (Par.default_jobs ())] workers is
-    created and shut down around the call.
-    @raise Invalid_argument when [shards < 1]. *)
+  cache:Fs_cache.Mpcache.t ->
+  run
+(** {!simulate} over an on-disk trace, one block at a time through one
+    reused buffer: counts and epochs are identical to replaying the
+    in-memory trace, while peak heap stays at one block.
+    @raise Fs_trace.Cell_trace.Corrupt on a damaged block, and
+    [Invalid_argument] as {!simulate}. *)
 
 val simulate_sharded_stream :
-  ?pool:Fs_util.Par.Pool.t ->
-  ?track_blocks:bool ->
-  ?track_pairs:bool ->
-  ?track_lines:bool ->
   Fs_trace.Cell_trace.Stream.t ->
   shards:int ->
   layout:Fs_layout.Layout.t ->
   config:Fs_cache.Mpcache.config ->
-  sharded
-(** {!simulate_sharded} over a chunked on-disk trace: counts are
-    identical to replaying the in-memory trace, while peak heap use
-    stays bounded by the stream's block size times a small decode
-    window.  With [shards > 1] the stream's blocks are decoded {e on the
-    pool}, pipelined one window ahead of the shard drain (a worker that
-    finishes draining picks up the next block's decode), so decode
-    overlaps the coherence simulation; [shards = 1] decodes inline on
-    the calling domain.  A [Cell_trace.Corrupt] raised by a worker
-    decode re-raises at the caller. *)
+  run
+(** {!simulate_stream} into a fresh cache of [config].  Kept for the
+    repo benchmark ([perfbench/bench.ml]), its only caller.
+    @raise Invalid_argument unless [shards = 1]. *)

@@ -41,7 +41,7 @@ val unpack : int -> t
 
 val tag_barrier_release : int
 (** The {!packed_tag} value of [Barrier_release] — the epoch cut the
-    sharded replay and the phase tracker both key on. *)
+    replay engine and the phase tracker both key on. *)
 
 val tag_access : int
 val tag_work : int

@@ -125,7 +125,7 @@ module Stream : sig
   val nprocs : t -> int
 
   val length : t -> int
-  (** Total events in the trace (not the window). *)
+  (** Total events in the trace (not one block). *)
 
   val byte_size : t -> int
   (** Size of the underlying file in bytes — the denominator for

@@ -1,7 +1,7 @@
 (* [FALSESHARE_JOBS] overrides the detected core count for every caller
    that does not pass an explicit job count; a CLI [--jobs] always wins
-   because it reaches [map]/[Pool.create] as an explicit argument and
-   this function is only the default.  Malformed or non-positive values
+   because it reaches [map] as an explicit argument and this function
+   is only the default.  Malformed or non-positive values
    fall back to the detected count rather than erroring: the variable is
    an operator knob, not an API. *)
 let default_jobs () =
@@ -176,159 +176,6 @@ let map_with_stats ?jobs f xs =
 
 let map ?jobs f xs = fst (map_with_stats ?jobs f xs)
 let iter ?jobs f xs = ignore (map ?jobs (fun x -> f x) xs)
-
-(* ------------------------------------------------------------------ *)
-(* The persistent pool: [jobs - 1] long-lived domains plus the calling
-   domain, reused across many [run] barriers.  [map] above spawns and
-   joins per call, which is fine for coarse experiment fan-outs but far
-   too expensive for a replay loop that synchronizes once per trace
-   chunk; the pool amortizes domain startup over the whole replay.
-
-   A [run] is one generation: the caller publishes a body under the
-   mutex, bumps the generation counter, and every worker (the caller
-   included, as worker 0) executes [body w] exactly once before the
-   caller's barrier releases.  Exceptions are collected first-wins and
-   re-raised in the caller after the barrier, leaving the pool usable. *)
-
-module Pool = struct
-  type pool = {
-    p_jobs : int;
-    m : Mutex.t;
-    start : Condition.t;
-    finished : Condition.t;
-    mutable body : (int -> unit) option;
-    mutable gen : int;            (* bumped once per run *)
-    mutable pending : int;        (* spawned workers still in this gen *)
-    mutable stop : bool;
-    mutable error : exn option;   (* first failure of the current gen *)
-    mutable domains : unit Domain.t list;
-    cells : cell array;           (* per-worker accumulation, worker 0 first *)
-    mutable runs : int;
-    mutable wall : float;         (* summed wall-clock of all runs *)
-  }
-
-  type t = pool
-
-  let jobs t = t.p_jobs
-
-  (* one worker's share of one generation, timed into its own cell *)
-  let execute t w body =
-    let t0 = Unix.gettimeofday () in
-    (try body w
-     with e ->
-       Mutex.protect t.m (fun () ->
-           if t.error = None then t.error <- Some e));
-    let dt = Unix.gettimeofday () -. t0 in
-    let c = t.cells.(w) in
-    c.c_tasks <- c.c_tasks + 1;
-    c.c_busy <- c.c_busy +. dt;
-    observe c.c_run_hist dt
-
-  let worker t w =
-    let rec loop seen =
-      Mutex.lock t.m;
-      while (not t.stop) && t.gen = seen do
-        Condition.wait t.start t.m
-      done;
-      if t.stop then Mutex.unlock t.m
-      else begin
-        let gen = t.gen in
-        let body = Option.get t.body in
-        Mutex.unlock t.m;
-        execute t w body;
-        Mutex.lock t.m;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.finished;
-        Mutex.unlock t.m;
-        loop gen
-      end
-    in
-    loop 0
-
-  let create ?jobs () =
-    let jobs = max 1 (min (Option.value jobs ~default:(default_jobs ())) 64) in
-    let t =
-      { p_jobs = jobs;
-        m = Mutex.create ();
-        start = Condition.create ();
-        finished = Condition.create ();
-        body = None;
-        gen = 0;
-        pending = 0;
-        stop = false;
-        error = None;
-        domains = [];
-        cells = Array.init jobs (fun _ -> fresh_cell ());
-        runs = 0;
-        wall = 0. }
-    in
-    t.domains <-
-      List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker t (k + 1)));
-    t
-
-  let run t body =
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock t.m;
-    if t.stop then begin
-      Mutex.unlock t.m;
-      invalid_arg "Par.Pool.run: pool is shut down"
-    end;
-    if t.body <> None then begin
-      Mutex.unlock t.m;
-      invalid_arg "Par.Pool.run: nested run on the same pool"
-    end;
-    t.body <- Some body;
-    t.error <- None;
-    t.gen <- t.gen + 1;
-    t.pending <- t.p_jobs - 1;
-    Condition.broadcast t.start;
-    Mutex.unlock t.m;
-    execute t 0 body;
-    Mutex.lock t.m;
-    while t.pending > 0 do
-      Condition.wait t.finished t.m
-    done;
-    t.body <- None;
-    let err = t.error in
-    t.error <- None;
-    Mutex.unlock t.m;
-    t.runs <- t.runs + 1;
-    t.wall <- t.wall +. (Unix.gettimeofday () -. t0);
-    match err with None -> () | Some e -> raise e
-
-  (* Cumulative over the pool's lifetime.  Wait is derived (wall minus
-     busy): the workers block on a condition variable between
-     generations, so claim-latency histograms would only measure the
-     scheduler. *)
-  let stats t =
-    { jobs = t.p_jobs;
-      task_count = t.runs * t.p_jobs;
-      wall_s = t.wall;
-      workers =
-        Array.mapi
-          (fun w c ->
-            let s = finalize w c in
-            { s with wait_s = Float.max 0. (t.wall -. s.busy_s) })
-          t.cells }
-
-  let shutdown t =
-    let already =
-      Mutex.protect t.m (fun () ->
-          let a = t.stop in
-          t.stop <- true;
-          Condition.broadcast t.start;
-          a)
-    in
-    if not already then begin
-      List.iter Domain.join t.domains;
-      t.domains <- [];
-      if t.runs > 0 then notify (stats t)
-    end
-
-  let with_pool ?jobs f =
-    let t = create ?jobs () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-end
 
 (* ------------------------------------------------------------------ *)
 (* The deterministic pool summary: workers in index order, fixed

@@ -135,7 +135,7 @@ let test_fused_equivalence () =
                 Fs_cache.Mpcache.create ~track_blocks:true ~max_addr
                   (cfg block)
               in
-              Replay.simulate trace ~layout ~cache:fused;
+              ignore (Replay.simulate trace ~layout ~cache:fused);
               let what =
                 Printf.sprintf "%s/%s b=%d" w.name
                   (W.version_to_string version) block
@@ -163,9 +163,9 @@ let test_fused_growth () =
   let layout = Layout.default prog ~block:16 in
   let cfg = Fs_cache.Mpcache.default_config ~nprocs ~block:16 in
   let hinted = Fs_cache.Mpcache.create ~max_addr:(Layout.size layout) cfg in
-  Replay.simulate trace ~layout ~cache:hinted;
+  ignore (Replay.simulate trace ~layout ~cache:hinted);
   let grown = Fs_cache.Mpcache.create cfg in
-  Replay.simulate trace ~layout ~cache:grown;
+  ignore (Replay.simulate trace ~layout ~cache:grown);
   Alcotest.(check bool) "growable arrays match presized" true
     (Fs_cache.Mpcache.counts hinted = Fs_cache.Mpcache.counts grown)
 
@@ -371,7 +371,7 @@ let test_memo_eviction () =
   Memo.set_capacity 128;
   Memo.clear ()
 
-(* The memo under concurrent access from pool workers: a tight capacity
+(* The memo under concurrent access from four domains: a tight capacity
    forces evictions to race with hits across domains; the invariants are
    that every worker gets a usable entry, bookkeeping balances (each
    lookup is exactly one hit or one miss), and evictions never exceed
@@ -383,18 +383,19 @@ let test_memo_concurrent () =
   let scales = [| 1; 1; 1; 1 |] in
   let lookups_per_worker = 8 in
   let failures = Atomic.make 0 in
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      for _ = 1 to 3 do
-        Par.Pool.run pool (fun worker ->
-            for i = 0 to lookups_per_worker - 1 do
-              (* workers hit overlapping keys so hits, misses, and
-                 evictions all occur concurrently *)
-              let nprocs = 2 + ((worker + i) mod 3) in
-              let e = Memo.get w ~nprocs ~scale:scales.(worker mod 4) in
-              if Cell_trace.nprocs e.Memo.trace <> nprocs then
-                Atomic.incr failures
-            done)
-      done);
+  for _ = 1 to 3 do
+    Par.iter ~jobs:4
+      (fun worker ->
+        for i = 0 to lookups_per_worker - 1 do
+          (* workers hit overlapping keys so hits, misses, and
+             evictions all occur concurrently *)
+          let nprocs = 2 + ((worker + i) mod 3) in
+          let e = Memo.get w ~nprocs ~scale:scales.(worker mod 4) in
+          if Cell_trace.nprocs e.Memo.trace <> nprocs then
+            Atomic.incr failures
+        done)
+      [ 0; 1; 2; 3 ]
+  done;
   Alcotest.(check int) "every entry usable" 0 (Atomic.get failures);
   let hits, misses, evictions, _ = Memo.read_stats () in
   let total = 3 * 4 * lookups_per_worker in

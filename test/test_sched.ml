@@ -51,7 +51,7 @@ let test_dstress_conservation () =
     [ 1; 2; 4; 8 ]
 
 (* identical seeds: bit-identical traces, and identical cache counts
-   across record/replay, block sizes, and shard counts *)
+   from either recording at every block size *)
 let test_same_seed_identical () =
   List.iter
     (fun (w : W.t) ->
@@ -65,21 +65,13 @@ let test_same_seed_identical () =
       let prog = w.W.build ~nprocs ~scale in
       List.iter
         (fun block ->
-          let base = ref None in
-          List.iter
-            (fun (recorded, shards) ->
-              let run =
-                Sim.cache_sim ~shards ~recorded prog [] ~nprocs ~block
-              in
-              match !base with
-              | None -> base := Some run.Sim.counts
-              | Some c ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: counts %dB shards=%d" w.W.name block
-                     shards)
-                  true
-                  (c = run.Sim.counts))
-            [ (r1, 1); (r2, 1); (r1, 2); (r2, 3); (r1, 4) ])
+          let counts recorded =
+            (Sim.cache_sim ~recorded prog [] ~nprocs ~block).Sim.counts
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: counts %dB" w.W.name block)
+            true
+            (counts r1 = counts r2))
         [ 16; 128 ])
     Fs_workloads.Workloads.dynamic
 

@@ -183,8 +183,8 @@ let test_flight () =
   let max_addr = Layout.size layout in
   let run flight =
     let c = C.create ~max_addr (C.default_config ~nprocs ~block:64) in
-    Replay.simulate ?flight recorded.Sim.trace ~layout ~cache:c;
-    C.counts c
+    (Replay.simulate ?flight recorded.Sim.trace ~layout ~cache:c)
+      .Replay.counts
   in
   let flight = Flight.create ~capacity:32 ~interval:512 () in
   let on = run (Some flight) in

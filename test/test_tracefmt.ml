@@ -46,8 +46,8 @@ let write_all path s =
 (* ------------------------------------------------------------------ *)
 (* Round-trip property: for every workload and any block granularity,
    the file reads back equal, and replaying the streamed file through
-   any of the workload's layout versions at 16B or 128B, on one or two
-   shards, lands on counts bit-identical to the in-memory engine.     *)
+   any of the workload's layout versions at 16B or 128B lands on counts
+   bit-identical to the in-memory engine.                             *)
 
 let prop_roundtrip =
   QCheck.Test.make
@@ -58,15 +58,14 @@ let prop_roundtrip =
     QCheck.(
       quad
         (int_range 0 (List.length names - 1))
-        (int_range 0 5) (int_range 1 300) bool)
-    (fun (wi, mix, block_events, big_block) ->
+        (int_range 0 2) (int_range 1 300) bool)
+    (fun (wi, vi, block_events, big_block) ->
       let name = List.nth names wi in
       let w, nprocs, prog, r = trace_of name in
       let trace = r.Sim.trace in
       let block = if big_block then 128 else 16 in
-      let shards = 1 + (mix / 3 mod 2) in
       let version =
-        List.nth w.W.versions (mix mod List.length w.W.versions)
+        List.nth w.W.versions (vi mod List.length w.W.versions)
       in
       with_tmp "prop" @@ fun path ->
       Ct.write_file ~block_events trace path;
@@ -79,17 +78,16 @@ let prop_roundtrip =
       in
       let layout = Layout.realize prog plan ~block in
       let config = C.default_config ~nprocs ~block in
-      let reference =
-        (R.simulate_sharded trace ~shards:1 ~layout ~config).R.counts
-      in
+      let cache () = C.create ~max_addr:(Layout.size layout) config in
+      let reference = (R.simulate trace ~layout ~cache:(cache ())).R.counts in
       let s = Ct.of_file_stream path in
-      let st = R.simulate_sharded_stream s ~shards ~layout ~config in
+      let st = R.simulate_stream s ~layout ~cache:(cache ()) in
       Ct.Stream.close s;
       if st.R.counts <> reference then
         QCheck.Test.fail_reportf
-          "%s: streamed counts differ from in-memory (block %d, %d shard(s), \
+          "%s: streamed counts differ from in-memory (block %d, \
            block_events %d)"
-          name block shards block_events;
+          name block block_events;
       true)
 
 (* ------------------------------------------------------------------ *)

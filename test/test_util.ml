@@ -128,50 +128,6 @@ let test_default_jobs_env () =
             detected (Fs_util.Par.default_jobs ())))
     [ "0"; "-2"; "lots"; "2.5" ]
 
-(* The persistent pool: every worker runs each generation exactly once,
-   errors propagate without killing the pool, nested runs are rejected,
-   shutdown is idempotent, and the cumulative stats account one task per
-   worker per generation. *)
-let test_pool () =
-  let module Pool = Fs_util.Par.Pool in
-  Pool.with_pool ~jobs:3 (fun p ->
-      Alcotest.(check int) "jobs clamped" 3 (Pool.jobs p);
-      let hits = Array.make 3 0 in
-      for _ = 1 to 5 do
-        Pool.run p (fun w -> hits.(w) <- hits.(w) + 1)
-      done;
-      Alcotest.(check (list int)) "each worker ran every generation"
-        [ 5; 5; 5 ] (Array.to_list hits);
-      (* an error from any worker surfaces in the caller; the pool stays
-         usable afterwards *)
-      (match Pool.run p (fun w -> if w = 1 then failwith "boom") with
-       | () -> Alcotest.fail "expected failure to propagate"
-       | exception Failure msg ->
-         Alcotest.(check string) "error surfaced" "boom" msg);
-      Pool.run p (fun w -> hits.(w) <- hits.(w) + 1);
-      Alcotest.(check (list int)) "pool usable after error" [ 6; 6; 6 ]
-        (Array.to_list hits);
-      (* a nested run from inside a body must be rejected, not deadlock *)
-      let nested_rejected = ref false in
-      Pool.run p (fun w ->
-          if w = 0 then
-            match Pool.run p (fun _ -> ()) with
-            | () -> ()
-            | exception Invalid_argument _ -> nested_rejected := true);
-      Alcotest.(check bool) "nested run rejected" true !nested_rejected;
-      let st = Pool.stats p in
-      Alcotest.(check int) "stats jobs" 3 st.Fs_util.Par.jobs;
-      Alcotest.(check int) "one task per worker per generation"
-        (8 * 3) st.Fs_util.Par.task_count);
-  (* with_pool shut the pool down; a second shutdown is a no-op and
-     running afterwards is an error *)
-  let p = Pool.create ~jobs:2 () in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (match Pool.run p (fun _ -> ()) with
-   | () -> Alcotest.fail "expected run after shutdown to be rejected"
-   | exception Invalid_argument _ -> ())
-
 (* ------------------------------------------------------------------ *)
 (* Sha256: the NIST FIPS 180-2 vectors, plus the streaming interface —
    the store's content addresses are only as good as this digest *)
@@ -236,5 +192,4 @@ let suite =
     Alcotest.test_case "table ragged" `Quick test_table_ragged;
     Alcotest.test_case "table formats" `Quick test_table_formats;
     Alcotest.test_case "stats" `Quick test_stats;
-    Alcotest.test_case "default_jobs env override" `Quick test_default_jobs_env;
-    Alcotest.test_case "persistent pool" `Quick test_pool ]
+    Alcotest.test_case "default_jobs env override" `Quick test_default_jobs_env ]

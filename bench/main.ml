@@ -8,16 +8,17 @@
    A single argument selects one piece:
      fig3 | table2 | fig4 | table3 | stats | exectime | replay | simspeed |
      engine | tracefmt | tracescale | telemetry | micro |
-     ablation | repair | stealing | phases
+     ablation | repair | stealing | phases | ratio
    plus `quick`, which shrinks the processor sweep for a fast pass,
    `baseline`, which runs the quick pass and seeds bench/BASELINE.json,
    and `check`, which runs the quick pass and fails (exit 1) if any
-   deterministic section drifted from the committed baseline or ran
+   deterministic section drifted from the committed baseline, ran
    slower than the baseline by more than the tolerance factor
-   (`--tolerance F`, default 10).  `--jobs N` sets the number of worker
-   domains that independent runs fan out over (default: the
-   FALSESHARE_JOBS environment variable, else the recommended domain
-   count).
+   (`--tolerance F`, default 10), or if `Pipeline.run`'s replay ran
+   below 0.4x the fused engine's events/s in this run (`ratio`).
+   `--jobs N` sets the number of worker domains that independent runs
+   fan out over (default: the FALSESHARE_JOBS environment variable, else
+   the recommended domain count).
 
    Besides the text tables, every run writes BENCH_results.json
    (atomically: temp file + rename) — the same records in
@@ -534,6 +535,68 @@ let telemetry_bench () =
          ("counts_identical", Json.Bool counts_identical) ])
 
 (* ------------------------------------------------------------------ *)
+(* Ratio gate: the pipeline's replay against the fused engine          *)
+
+(* [Pipeline.run]'s tracked replay plus its interp_* counting pass must
+   keep within this fraction of an untracked fused replay's events/s.  A
+   per-event listener on the pipeline's walk runs at ~0.04; the engine
+   route at ~0.7.  Both sides are timed in the same run, so the ratio
+   carries across machines where a wall-clock tolerance does not. *)
+let pipeline_ratio_floor = 0.4
+
+let pipeline_ratio () =
+  section "Pipeline replay vs fused engine (pverify, compiler plan, 128B)";
+  let w = Ws.find "pverify" in
+  let nprocs = w.W.fig3_procs and block = 128 in
+  let prog = w.W.build ~nprocs ~scale:(4 * w.W.default_scale) in
+  let trace = (Sim.record prog ~nprocs).Sim.trace in
+  let events = Ct.length trace in
+  let layout = Layout.realize prog (T.plan prog ~nprocs).T.plan ~block in
+  let best_of_3 f =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           Gc.full_major ();
+           f ()))
+  in
+  (* the pipeline's own replay+cache entry: its walk over the same
+     recording (recording is deterministic) and its counting pass *)
+  let pipeline =
+    best_of_3 (fun () ->
+        let r = Falseshare.Pipeline.run prog ~nprocs ~block in
+        let e =
+          List.find
+            (fun (e : Fs_obs.Profile.entry) -> e.name = "replay+cache")
+            (Fs_obs.Profile.entries r.Falseshare.Pipeline.profile)
+        in
+        assert (e.events = events);
+        e.seconds)
+  in
+  let fused =
+    best_of_3 (fun () ->
+        let cache =
+          C.create ~max_addr:(Layout.size layout)
+            (C.default_config ~nprocs ~block)
+        in
+        snd
+          (time_it (fun () ->
+               Fs_replay.Replay.simulate trace ~layout ~cache)))
+  in
+  let meps t = float_of_int events /. t /. 1e6 in
+  let ratio = fused /. pipeline in
+  Printf.printf
+    "%d events | pipeline replay+cache %.1f Mevents/s | fused %.1f \
+     Mevents/s | ratio %.2f (floor %.2f)\n"
+    events (meps pipeline) (meps fused) ratio pipeline_ratio_floor;
+  record "pipeline-ratio" ~seconds:(pipeline +. fused)
+    (Json.Obj
+       [ ("events", Json.Int events);
+         ("pipeline_seconds", Json.float pipeline);
+         ("fused_seconds", Json.float fused);
+         ("ratio", Json.float ratio);
+         ("floor", Json.float pipeline_ratio_floor) ]);
+  ratio
+
+(* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                 *)
 
 let ablation () =
@@ -860,7 +923,7 @@ let serve_bench ~quick ~jobs () =
    deterministic experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracescale" ]
+    "serve"; "tracescale"; "pipeline-ratio" ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -892,7 +955,7 @@ let write_baseline () =
   close_out oc;
   Printf.printf "\nseeded %s\n" path
 
-let check_against_baseline ~tolerance =
+let check_against_baseline ~tolerance ~pipeline_ratio =
   let path = baseline_path () in
   if not (Sys.file_exists path) then begin
     Printf.printf
@@ -908,6 +971,9 @@ let check_against_baseline ~tolerance =
   let current = List.rev !results in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  if pipeline_ratio < pipeline_ratio_floor then
+    fail "pipeline-ratio: pipeline replay at %.2fx the fused engine's events/s \
+          (floor %.2fx)" pipeline_ratio pipeline_ratio_floor;
   List.iter
     (fun (name, bj) ->
       if not (List.mem name nondeterministic) then
@@ -1085,6 +1151,13 @@ let () =
   if all || gate || pick = "phases" then phases_bench ();
   if all || gate || pick = "serve" then serve_bench ~quick ~jobs ();
   if all || pick = "micro" then micro ~quick ();
+  let ratio =
+    if all || pick = "check" || pick = "ratio" then Some (pipeline_ratio ())
+    else None
+  in
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);
   if pick = "baseline" then write_baseline ();
-  if pick = "check" then check_against_baseline ~tolerance:!tolerance
+  match ratio with
+  | Some pipeline_ratio when pick = "check" ->
+    check_against_baseline ~tolerance:!tolerance ~pipeline_ratio
+  | _ -> ()

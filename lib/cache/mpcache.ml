@@ -150,9 +150,10 @@ let lost_evicted = -1
 
    Owners and writers are stored as [proc + 1] with 0 meaning none, so
    every growable array zero-fills and growth is a single blit.
-   Nothing on the access path allocates; the optional tracking tables
-   (per-block counts, blame pairs, line lifetimes) stay hash-based,
-   since they are opt-in and off the untracked hot path. *)
+   Nothing on the access path allocates.  Per-block counts, when
+   tracked, are one more growable array indexed by block id; the other
+   optional tracking tables (blame pairs, line lifetimes) stay
+   hash-based, since they are opt-in and off the untracked hot path. *)
 type t = {
   cfg : config;
   nsets : int;
@@ -175,7 +176,10 @@ type t = {
   slots : int array;          (* resident block id, or -1 *)
   totals : counts;
   per_proc : counts array;
-  per_block_tbl : (int, counts) Hashtbl.t option;
+  track_blocks : bool;
+  (* per block when [track_blocks] (else empty): its counts, [None]
+     until the block is first touched *)
+  mutable bcounts : counts option array;
   pair_tbl : (int * int * int, flow) Hashtbl.t option;  (* block, src, victim *)
   line_tbl : (int, linfo) Hashtbl.t option;
   mutable time : int;
@@ -214,7 +218,8 @@ let create ?(track_blocks = false) ?(track_pairs = false)
     slots = Array.make (cfg.nprocs * nsets * cfg.assoc) (-1);
     totals = zero_counts ();
     per_proc = Array.init cfg.nprocs (fun _ -> zero_counts ());
-    per_block_tbl = (if track_blocks then Some (Hashtbl.create 256) else None);
+    track_blocks;
+    bcounts = (if track_blocks then Array.make cap None else [||]);
     pair_tbl = (if track_pairs then Some (Hashtbl.create 256) else None);
     line_tbl = (if track_lines then Some (Hashtbl.create 256) else None);
     time = 0;
@@ -239,21 +244,24 @@ let grow t b =
   t.ent <- extend (t.nprocs * 4) t.ent;
   t.blk <- extend 3 t.blk;
   t.wrd <- extend (t.words * 2) t.wrd;
+  if t.track_blocks then begin
+    let bigger = Array.make cap None in
+    Array.blit t.bcounts 0 bigger 0 t.cap;
+    t.bcounts <- bigger
+  end;
   t.cap <- cap
 
 let set_index t b =
   if t.set_mask <> 0 then b land t.set_mask else b mod t.nsets
 
+(* only on a tracking cache, and for [b < cap] *)
 let block_counts t b =
-  match t.per_block_tbl with
-  | None -> None
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl b with
-    | Some c -> Some c
-    | None ->
-      let c = zero_counts () in
-      Hashtbl.add tbl b c;
-      Some c)
+  match Array.unsafe_get t.bcounts b with
+  | Some _ as c -> c
+  | None ->
+    let c = Some (zero_counts ()) in
+    Array.unsafe_set t.bcounts b c;
+    c
 
 let linfo_of tbl b words =
   match Hashtbl.find_opt tbl b with
@@ -318,15 +326,10 @@ let invalidate t b ~src ~victim ~cause =
   (* the caller batches [totals.invalidations] over all victims *)
   let c = t.per_proc.(victim) in
   c.invalidations <- c.invalidations + 1;
-  (match t.per_block_tbl with
-   | None -> ()
-   | Some tbl -> (
-     match Hashtbl.find_opt tbl b with
-     | Some c -> c.invalidations <- c.invalidations + 1
-     | None ->
-       let c = zero_counts () in
-       c.invalidations <- 1;
-       Hashtbl.add tbl b c));
+  if t.track_blocks then
+    Option.iter
+      (fun c -> c.invalidations <- c.invalidations + 1)
+      (block_counts t b);
   match t.pair_tbl with
   | None -> ()
   | Some tbl ->
@@ -445,7 +448,7 @@ let access_raw t ~proc ~write ~addr =
   let e = ((b * t.nprocs) + proc) * 4 in
   (* short-circuit keeps the untracked hot path free of the call *)
   let bc =
-    match t.per_block_tbl with None -> None | Some _ -> block_counts t b
+    if t.track_blocks then block_counts t b else None
   in
   let pp = Array.unsafe_get t.per_proc proc in
   (if write then begin
@@ -577,11 +580,14 @@ let invalidation_pairs t =
            compare (a.block, a.src, a.victim) (b.block, b.src, b.victim))
 
 let per_block t =
-  match t.per_block_tbl with
-  | None -> tracking_off "per_block" "track_blocks"
-  | Some tbl ->
-    Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  if not t.track_blocks then tracking_off "per_block" "track_blocks"
+  else begin
+    let acc = ref [] in
+    for b = t.cap - 1 downto 0 do
+      match t.bcounts.(b) with Some c -> acc := (b, c) :: !acc | None -> ()
+    done;
+    !acc
+  end
 
 let lines t =
   match t.line_tbl with

@@ -301,13 +301,3 @@ let hotlines (h : Hotlines.t) =
                    Json.String (Hotlines.verdict_to_string x.verdict));
                   ("fix", Json.String x.fix) ])
             h.hot)) ]
-
-let machine (r : Fs_machine.Ksr.result) =
-  let arr a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
-  Json.Obj
-    [ ("cycles", Json.Int r.Fs_machine.Ksr.cycles);
-      ("per_proc", arr r.per_proc);
-      ("mem_stall", arr r.mem_stall);
-      ("sync_stall", arr r.sync_stall);
-      ("lock_stall", arr r.lock_stall);
-      ("cache", counts r.cache) ]

@@ -41,5 +41,3 @@ val workloads : Fs_workloads.Workload.t list -> Json.t
 val transform_report : Fs_transform.Transform.report -> Json.t
 (** Entries with their decisions and reasons, plus the plan actions
     (pretty-printed). *)
-
-val machine : Fs_machine.Ksr.result -> Json.t

@@ -4,11 +4,9 @@ module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Layout = Fs_layout.Layout
 module Mpcache = Fs_cache.Mpcache
-module Ksr = Fs_machine.Ksr
 module Interp = Fs_interp.Interp
 module Replay = Fs_replay.Replay
 module Cell_trace = Fs_trace.Cell_trace
-module Listener = Fs_trace.Listener
 module Metrics = Fs_obs.Metrics
 module Profile = Fs_obs.Profile
 module Span = Fs_obs.Span
@@ -17,8 +15,6 @@ module Json = Fs_obs.Json
 type t = {
   report : T.report;
   cache : Sim.cache_run;
-  machine : Ksr.result option;
-  epochs : Phases.epoch list option;
   metrics : Metrics.t;
   profile : Profile.t;
 }
@@ -48,23 +44,61 @@ let ingest_cache metrics ~proc_counts ~per_block =
         Metrics.Histogram.observe hist (float_of_int c.Mpcache.invalidations))
     per_block
 
-let ingest_machine metrics (r : Ksr.result) =
-  Metrics.Gauge.set (Metrics.gauge metrics "ksr_cycles") (float_of_int r.Ksr.cycles);
+(* The interp_* series exactly as [Metrics.listener] registers them on a
+   listener replay under the same layout.  Accesses come from the cache:
+   the listener sits after the address translation, so they include the
+   pointer loads an indirection layout injects.  The rest is one pass
+   over the recording.  A work counter registers on any Work event, even
+   of amount 0; every other series only when its count is nonzero.  The
+   tags and shifts mirror [Cell_event]'s packed layout, written inline
+   because its accessors are not inlined across modules; the listener
+   differential test pins them down. *)
+let ingest_interp metrics ~proc_counts trace =
+  let nprocs = Array.length proc_counts in
+  let work = Array.make nprocs (-1) (* -1: no Work event yet *)
+  and arrivals = Array.make nprocs 0
+  and waits = Array.make nprocs 0
+  and grants = Array.make nprocs 0
+  and contended = Array.make nprocs 0
+  and releases = ref 0 in
+  let data = Cell_trace.unsafe_data trace in
+  for i = 0 to Cell_trace.length trace - 1 do
+    let packed = Array.unsafe_get data i in
+    let proc = (packed lsr 4) land 0xff in
+    match packed land 7 with
+    | 1 (* Work *) ->
+      let w = work.(proc) in
+      work.(proc) <- (if w < 0 then 0 else w) + (packed lsr 12)
+    | 2 (* Barrier_arrive *) -> arrivals.(proc) <- arrivals.(proc) + 1
+    | 3 (* Barrier_release *) -> incr releases
+    | 4 (* Lock_wait *) -> waits.(proc) <- waits.(proc) + 1
+    | 5 (* Lock_grant: from + 1 in bits 20-28 *) ->
+      if (packed lsr 20) land 0x1ff > 0 then
+        contended.(proc) <- contended.(proc) + 1
+      else grants.(proc) <- grants.(proc) + 1
+    | _ (* Access, counted by the cache; Steal, not translated *) -> ()
+  done;
+  let add ?(labels = []) name v =
+    if v > 0 then Metrics.Counter.add (Metrics.counter metrics ~labels name) v
+  in
   Array.iteri
-    (fun p stall ->
-      let lock = r.lock_stall.(p) in
-      let set name v =
-        Metrics.Gauge.set
-          (Metrics.gauge metrics ~labels:(proc_label p) name)
-          (float_of_int v)
-      in
-      set "ksr_mem_stall_cycles" r.mem_stall.(p);
-      set "ksr_barrier_idle_cycles" (stall - lock);
-      set "ksr_lock_stall_cycles" lock)
-    r.sync_stall
+    (fun p (c : Mpcache.counts) ->
+      let proc = proc_label p in
+      add ~labels:(("kind", "read") :: proc) "interp_accesses" c.Mpcache.reads;
+      add ~labels:(("kind", "write") :: proc) "interp_accesses" c.writes;
+      if work.(p) >= 0 then
+        Metrics.Counter.add
+          (Metrics.counter metrics ~labels:proc "interp_work_units")
+          work.(p);
+      add ~labels:proc "interp_barrier_arrivals" arrivals.(p);
+      add ~labels:proc "interp_lock_waits" waits.(p);
+      add ~labels:(("contended", "false") :: proc) "interp_lock_grants" grants.(p);
+      add ~labels:(("contended", "true") :: proc) "interp_lock_grants"
+        contended.(p))
+    proc_counts;
+  add "interp_barrier_releases" !releases
 
-let run ?options ?(machine = false) ?(epochs = false) ?plan
-    ?profile ?sched prog ~nprocs ~block =
+let run ?options ?plan ?profile ?sched prog ~nprocs ~block =
   Span.timed "pipeline"
     ~attrs:
       [ ("nprocs", string_of_int nprocs); ("block", string_of_int block) ]
@@ -109,8 +143,6 @@ let run ?options ?(machine = false) ?(epochs = false) ?plan
         Profile.time profile "layout" ~events:Layout.size (fun () ->
             Layout.realize prog plan ~block))
   in
-  (* interpret once, layout-free; the cache and machine runs below both
-     replay the same trace under their own layouts *)
   let recorded =
     Span.timed "interp" (fun () ->
         Profile.time profile "interp"
@@ -118,80 +150,37 @@ let run ?options ?(machine = false) ?(epochs = false) ?plan
             Array.fold_left ( + ) 0 r.interp.Interp.accesses)
           (fun () -> Sim.record ?sched prog ~nprocs))
   in
-  let cache_config = Mpcache.default_config ~nprocs ~block in
+  let trace = recorded.Sim.trace in
   let cache =
     Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-      cache_config
-  in
-  let tracker, close_epochs =
-    if epochs then Phases.tracker cache else (Listener.null, fun () -> [])
-  in
-  let listener =
-    Listener.combine
-      (Listener.of_sink (Mpcache.sink cache))
-      (Listener.combine (Metrics.listener metrics) tracker)
+      (Mpcache.default_config ~nprocs ~block)
   in
   Span.timed "replay+cache"
-    ~attrs:
-      [ ("events", string_of_int (Cell_trace.length recorded.Sim.trace)) ]
+    ~attrs:[ ("events", string_of_int (Cell_trace.length trace)) ]
     (fun () ->
       Profile.time profile "replay+cache"
-        ~events:(fun () -> Cell_trace.length recorded.Sim.trace)
-        (fun () -> Replay.replay recorded.Sim.trace ~layout ~listener));
-  let epoch_list = if epochs then Some (close_epochs ()) else None in
-  let counts = Mpcache.counts cache and per_block = Mpcache.per_block cache in
+        ~events:(fun () -> Cell_trace.length trace)
+        (fun () ->
+          ignore (Replay.simulate trace ~layout ~cache);
+          ingest_interp metrics ~proc_counts:(Mpcache.proc_counts cache) trace));
+  let per_block = Mpcache.per_block cache in
   ingest_cache metrics ~proc_counts:(Mpcache.proc_counts cache) ~per_block;
-  let interp = recorded.Sim.interp in
-  let machine_result =
-    if not machine then None
-    else
-      Some
-        (Span.timed "machine" (fun () ->
-             Profile.time profile "machine"
-               ~events:(fun (r : Ksr.result) -> r.Ksr.cycles)
-               (fun () ->
-                 let m = Ksr.create (Ksr.default_config ~nprocs) in
-                 let mlayout =
-                   Layout.realize prog plan
-                     ~block:(Ksr.default_config ~nprocs).Ksr.block
-                 in
-                 Replay.replay recorded.Sim.trace ~layout:mlayout
-                   ~listener:(Ksr.listener m);
-                 Ksr.finish m)))
-  in
-  Option.iter (ingest_machine metrics) machine_result;
   {
     report;
     cache =
-      { Sim.counts; per_block; layout_bytes = Layout.size layout; interp };
-    machine = machine_result;
-    epochs = epoch_list;
+      { Sim.counts = Mpcache.counts cache; per_block;
+        layout_bytes = Layout.size layout; interp = recorded.Sim.interp };
     metrics;
     profile;
   }
 
 let to_json t =
   Json.Obj
-    ([ ("plan",
-        Json.List
-          (List.map
-             (fun a -> Json.String (Format.asprintf "%a" Fs_layout.Plan.pp_action a))
-             t.report.T.plan));
-       ("counts", Emit.counts t.cache.Sim.counts);
-       ("profile", Profile.to_json t.profile);
-       ("metrics", Metrics.to_json t.metrics) ]
-    @ (match t.epochs with
-       | None -> []
-       | Some es ->
-         [ ("epochs",
-            Json.List
-              (List.map
-                 (fun (e : Phases.epoch) ->
-                   Json.Obj
-                     [ ("index", Json.Int e.Phases.index);
-                       ("total", Emit.counts (Phases.epoch_total e)) ])
-                 es)) ])
-    @
-    match t.machine with
-    | None -> []
-    | Some m -> [ ("machine", Emit.machine m) ])
+    [ ("plan",
+       Json.List
+         (List.map
+            (fun a -> Json.String (Format.asprintf "%a" Fs_layout.Plan.pp_action a))
+            t.report.T.plan));
+      ("counts", Emit.counts t.cache.Sim.counts);
+      ("profile", Profile.to_json t.profile);
+      ("metrics", Metrics.to_json t.metrics) ]

@@ -78,10 +78,14 @@ val histogram :
     @raise Invalid_argument on a name outside the grammar. *)
 
 val listener : t -> Fs_trace.Listener.t
-(** Instrument an interpreter run: counts work units and accesses per
-    processor, barrier arrivals and releases, lock waits and grants
-    (contended grants — those handed over by another processor — counted
-    separately). *)
+(** The per-event reference for the [interp_*] counters: counts work
+    units and accesses per processor, barrier arrivals and releases, lock
+    waits and grants (contended grants — those handed over by another
+    processor — counted separately).  It does a registry lookup per
+    event, so no production path uses it: [Falseshare.Pipeline.run]
+    derives the same series from the cache and the recording, and this
+    listener is the oracle its tests (and the repo benchmark's metrics
+    probe) replay against. *)
 
 val to_json : t -> Json.t
 (** An array of metric objects

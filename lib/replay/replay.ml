@@ -83,17 +83,23 @@ type run = { counts : Mpcache.counts; epochs : Mpcache.counts array }
    indirection layouts inject pointer cells, so the per-event pointer-read
    check lives in its own body.  Epochs are cut in the non-access branch,
    which costs the access path nothing: a snapshot of the cumulative
-   counts at every [Barrier_release], most recent first in [cuts]. *)
+   counts at every [Barrier_release], most recent first in [cuts].
+
+   The field shifts are written inline, not through the [Cell_event.packed_*]
+   accessors: the dev profile compiles every library [-opaque], so each
+   accessor would be an indirect call per event.  They mirror the bit
+   layout documented in [Cell_event] (tag bits 0-2, write bit 3, proc
+   bits 4-11, var bits 12-19, cell bits 20+); the replay = listener
+   property tests and the pack/unpack round trip pin them down. *)
 let walk_plain cache addr cuts data lo hi =
   for i = lo to hi - 1 do
     let packed = Array.unsafe_get data i in
-    let tag = Cell_event.packed_tag packed in
+    let tag = packed land 7 in
     if tag = Cell_event.tag_access then
       Mpcache.touch cache
-        ~proc:(Cell_event.packed_proc packed)
-        ~write:(Cell_event.packed_write packed)
-        ~addr:addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
-                                                     packed)
+        ~proc:((packed lsr 4) land 0xff)
+        ~write:(packed land 8 <> 0)
+        ~addr:addr.((packed lsr 12) land 0xff).(packed lsr 20)
     else if tag = Cell_event.tag_barrier_release then
       cuts := Mpcache.copy_counts (Mpcache.counts cache) :: !cuts
   done
@@ -101,18 +107,17 @@ let walk_plain cache addr cuts data lo hi =
 let walk_extra cache addr extra cuts data lo hi =
   for i = lo to hi - 1 do
     let packed = Array.unsafe_get data i in
-    let tag = Cell_event.packed_tag packed in
+    let tag = packed land 7 in
     if tag = Cell_event.tag_access then begin
-      let proc = Cell_event.packed_proc packed in
-      let cell = Cell_event.packed_cell packed in
-      let var = Cell_event.packed_var packed in
+      let proc = (packed lsr 4) land 0xff in
+      let cell = packed lsr 20 in
+      let var = (packed lsr 12) land 0xff in
       let ex = extra.(var) in
       (* an indirection layout interposes a pointer cell: the read of
          the pointer happens before the data reference it redirects *)
       if Array.length ex > 0 && ex.(cell) >= 0 then
         Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell);
-      Mpcache.touch cache ~proc
-        ~write:(Cell_event.packed_write packed)
+      Mpcache.touch cache ~proc ~write:(packed land 8 <> 0)
         ~addr:addr.(var).(cell)
     end
     else if tag = Cell_event.tag_barrier_release then

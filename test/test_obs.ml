@@ -17,6 +17,7 @@ module Interp = Fs_interp.Interp
 module Layout = Fs_layout.Layout
 module C = Fs_cache.Mpcache
 module W = Fs_workloads.Workload
+module Ws = Fs_workloads.Workloads
 
 (* the textbook false-sharing program: adjacent per-process counters *)
 let fs_prog ~nprocs =
@@ -696,6 +697,73 @@ let test_pipeline () =
   Alcotest.(check bool) "has profile" true (Json.member "profile" j <> None);
   Alcotest.(check bool) "has metrics" true (Json.member "metrics" j <> None)
 
+(* The pipeline's interp_* counters against the per-event reference: for
+   every workload, version and block size, the interp_* entries of
+   [Pipeline.run]'s registry must render byte for byte like a fresh
+   registry fed by [Metrics.listener] through a listener replay of the
+   same recording under the same layout.  The access counters include
+   the pointer loads an indirection layout injects, so at least one case
+   must run under such a layout. *)
+let test_pipeline_interp_metrics () =
+  let nprocs = 4 and scale = 1 in
+  let interp_entries metrics =
+    match Metrics.to_json metrics with
+    | Json.List entries ->
+      Json.to_string
+        (Json.List
+           (List.filter
+              (fun e ->
+                match Option.bind (Json.member "name" e) Json.get_string with
+                | Some n -> String.starts_with ~prefix:"interp_" n
+                | None -> false)
+              entries))
+    | _ -> Alcotest.fail "metrics json is not a list"
+  in
+  (* series every run of the suite must reach somewhere *)
+  let covered =
+    [ {|"interp_barrier_releases"|}; {|"interp_lock_waits"|};
+      {|"contended":"true"|}; {|"contended":"false"|} ]
+  in
+  let indirect = ref false and seen = Hashtbl.create 8 in
+  List.iter
+    (fun (w : W.t) ->
+      let prog = w.build ~nprocs ~scale in
+      let sched = if w.dynamic then Some (Fs_sched.Sched.seeded 7) else None in
+      let trace = (Sim.record ?sched prog ~nprocs).Sim.trace in
+      List.iter
+        (fun version ->
+          let plan = E.plan_for w version prog ~nprocs ~scale in
+          List.iter
+            (fun block ->
+              let what =
+                Printf.sprintf "%s/%s b=%d" w.name
+                  (W.version_to_string version) block
+              in
+              let layout = Layout.realize prog plan ~block in
+              if
+                List.exists
+                  (fun (v, _) -> Array.length (Layout.lookup layout v).extra > 0)
+                  prog.Fs_ir.Ast.globals
+              then indirect := true;
+              let reference = Metrics.create () in
+              Fs_replay.Replay.replay trace ~layout
+                ~listener:(Metrics.listener reference);
+              let r = Falseshare.Pipeline.run ?sched ~plan prog ~nprocs ~block in
+              let got = interp_entries r.Falseshare.Pipeline.metrics in
+              Alcotest.(check string) what (interp_entries reference) got;
+              List.iter
+                (fun needle ->
+                  if Tutil.contains got needle then Hashtbl.replace seen needle ())
+                covered)
+            [ 16; 128 ])
+        w.versions)
+    Ws.every;
+  Alcotest.(check bool) "an indirection layout was covered" true !indirect;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (needle ^ " covered") true (Hashtbl.mem seen needle))
+    covered
+
 (* ------------------------------------------------------------------ *)
 (* Edit distance (CLI suggestions)                                     *)
 
@@ -734,4 +802,6 @@ let suite =
     Alcotest.test_case "emit report round-trip" `Quick test_emit_report_roundtrip;
     Alcotest.test_case "blame vs attribution" `Quick test_blame_agrees_with_attribution;
     Alcotest.test_case "pipeline" `Quick test_pipeline;
+    Alcotest.test_case "pipeline interp metrics = listener" `Slow
+      test_pipeline_interp_metrics;
     Alcotest.test_case "strdist" `Quick test_strdist ]

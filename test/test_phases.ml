@@ -175,17 +175,6 @@ let test_hotlines_agree_with_per_block () =
     (List.length run.Sim.per_block)
     (List.length h.Hotlines.hot + h.Hotlines.dropped)
 
-let test_pipeline_epochs () =
-  let w = Ws.find "pverify" in
-  let nprocs = w.W.fig3_procs in
-  let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-  let r = Falseshare.Pipeline.run ~epochs:true prog ~nprocs ~block:128 in
-  match r.Falseshare.Pipeline.epochs with
-  | None -> Alcotest.fail "epochs requested but absent"
-  | Some es ->
-    Alcotest.(check bool) "epochs sum to the run's counts" true
-      (sum_epochs es = r.Falseshare.Pipeline.cache.Sim.counts)
-
 let suite =
   [ Alcotest.test_case "epoch sums (all workloads x {16,128}B)" `Slow
       test_epoch_sums;
@@ -193,5 +182,4 @@ let suite =
     Alcotest.test_case "phases json sums" `Quick test_phases_json_sums;
     Alcotest.test_case "topopt hot lines" `Quick test_topopt_hotlines;
     Alcotest.test_case "hot lines agree with per-block" `Quick
-      test_hotlines_agree_with_per_block;
-    Alcotest.test_case "pipeline epochs" `Quick test_pipeline_epochs ]
+      test_hotlines_agree_with_per_block ]

@@ -14,8 +14,9 @@
    and `check`, which runs the quick pass and fails (exit 1) if any
    deterministic section drifted from the committed baseline, ran
    slower than the baseline by more than the tolerance factor
-   (`--tolerance F`, default 10), or if `Pipeline.run`'s replay ran
-   below 0.4x the fused engine's events/s in this run (`ratio`).
+   (`--tolerance F`, default 10), or if `Pipeline.run`'s replay or
+   `Interp.record` ran below its floor fraction of the fused engine's
+   events/s in this run (`ratio`: 0.4 and 0.1).
    `--jobs N` sets the number of worker domains that independent runs
    fan out over (default: the FALSESHARE_JOBS environment variable, else
    the recommended domain count).
@@ -544,20 +545,33 @@ let telemetry_bench () =
    carries across machines where a wall-clock tolerance does not. *)
 let pipeline_ratio_floor = 0.4
 
+let best_of_3 f =
+  List.fold_left min infinity
+    (List.init 3 (fun _ ->
+         Gc.full_major ();
+         f ()))
+
+(* both ratio gates time pverify at its Figure 3 processor count and
+   four times its default scale (~1.5M events) *)
+let ratio_program () =
+  let w = Ws.find "pverify" in
+  let nprocs = w.W.fig3_procs in
+  (w.W.build ~nprocs ~scale:(4 * w.W.default_scale), nprocs)
+
+let untracked_replay_seconds trace ~layout ~nprocs ~block =
+  best_of_3 (fun () ->
+      let cache =
+        C.create ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block)
+      in
+      snd (time_it (fun () -> Fs_replay.Replay.simulate trace ~layout ~cache)))
+
 let pipeline_ratio () =
   section "Pipeline replay vs fused engine (pverify, compiler plan, 128B)";
-  let w = Ws.find "pverify" in
-  let nprocs = w.W.fig3_procs and block = 128 in
-  let prog = w.W.build ~nprocs ~scale:(4 * w.W.default_scale) in
+  let prog, nprocs = ratio_program () in
+  let block = 128 in
   let trace = (Sim.record prog ~nprocs).Sim.trace in
   let events = Ct.length trace in
   let layout = Layout.realize prog (T.plan prog ~nprocs).T.plan ~block in
-  let best_of_3 f =
-    List.fold_left min infinity
-      (List.init 3 (fun _ ->
-           Gc.full_major ();
-           f ()))
-  in
   (* the pipeline's own replay+cache entry: its walk over the same
      recording (recording is deterministic) and its counting pass *)
   let pipeline =
@@ -571,16 +585,7 @@ let pipeline_ratio () =
         assert (e.events = events);
         e.seconds)
   in
-  let fused =
-    best_of_3 (fun () ->
-        let cache =
-          C.create ~max_addr:(Layout.size layout)
-            (C.default_config ~nprocs ~block)
-        in
-        snd
-          (time_it (fun () ->
-               Fs_replay.Replay.simulate trace ~layout ~cache)))
-  in
+  let fused = untracked_replay_seconds trace ~layout ~nprocs ~block in
   let meps t = float_of_int events /. t /. 1e6 in
   let ratio = fused /. pipeline in
   Printf.printf
@@ -594,6 +599,43 @@ let pipeline_ratio () =
          ("fused_seconds", Json.float fused);
          ("ratio", Json.float ratio);
          ("floor", Json.float pipeline_ratio_floor) ]);
+  ratio
+
+(* [Interp.record]'s events/s must keep within this fraction of an
+   untracked fused replay of the trace it records (best of 3 each, timed
+   in the same run).  On a 2-core x86-64 container, 10 readings of the
+   unboxed interpreter gave 0.12-0.17 (5.5-7.1 Mevents/s); the boxed one
+   it replaced read 0.07-0.08 in 5 (2.4-3.1 Mevents/s). *)
+let interp_ratio_floor = 0.10
+
+let interp_ratio () =
+  section "Interpreter recording vs fused engine (pverify, packed layout, 128B)";
+  let prog, nprocs = ratio_program () in
+  let block = 128 in
+  let trace = ref None in
+  let recording =
+    best_of_3 (fun () ->
+        let (t, _), dt = time_it (fun () -> Fs_interp.Interp.record prog ~nprocs) in
+        trace := Some t;
+        dt)
+  in
+  let trace = Option.get !trace in
+  let events = Ct.length trace in
+  let layout = Layout.realize prog [] ~block in
+  let fused = untracked_replay_seconds trace ~layout ~nprocs ~block in
+  let meps t = float_of_int events /. t /. 1e6 in
+  let ratio = fused /. recording in
+  Printf.printf
+    "%d events | Interp.record %.1f Mevents/s | fused %.1f Mevents/s | ratio \
+     %.2f (floor %.2f)\n"
+    events (meps recording) (meps fused) ratio interp_ratio_floor;
+  record "interp-ratio" ~seconds:(recording +. fused)
+    (Json.Obj
+       [ ("events", Json.Int events);
+         ("record_seconds", Json.float recording);
+         ("fused_seconds", Json.float fused);
+         ("ratio", Json.float ratio);
+         ("floor", Json.float interp_ratio_floor) ]);
   ratio
 
 (* ------------------------------------------------------------------ *)
@@ -923,7 +965,7 @@ let serve_bench ~quick ~jobs () =
    deterministic experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracescale"; "pipeline-ratio" ]
+    "serve"; "tracescale"; "pipeline-ratio"; "interp-ratio" ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -955,7 +997,7 @@ let write_baseline () =
   close_out oc;
   Printf.printf "\nseeded %s\n" path
 
-let check_against_baseline ~tolerance ~pipeline_ratio =
+let check_against_baseline ~tolerance ~pipeline_ratio ~interp_ratio =
   let path = baseline_path () in
   if not (Sys.file_exists path) then begin
     Printf.printf
@@ -974,6 +1016,9 @@ let check_against_baseline ~tolerance ~pipeline_ratio =
   if pipeline_ratio < pipeline_ratio_floor then
     fail "pipeline-ratio: pipeline replay at %.2fx the fused engine's events/s \
           (floor %.2fx)" pipeline_ratio pipeline_ratio_floor;
+  if interp_ratio < interp_ratio_floor then
+    fail "interp-ratio: Interp.record at %.2fx the fused engine's events/s \
+          (floor %.2fx)" interp_ratio interp_ratio_floor;
   List.iter
     (fun (name, bj) ->
       if not (List.mem name nondeterministic) then
@@ -1151,13 +1196,15 @@ let () =
   if all || gate || pick = "phases" then phases_bench ();
   if all || gate || pick = "serve" then serve_bench ~quick ~jobs ();
   if all || pick = "micro" then micro ~quick ();
-  let ratio =
-    if all || pick = "check" || pick = "ratio" then Some (pipeline_ratio ())
+  let ratios =
+    if all || pick = "check" || pick = "ratio" then
+      let pipeline_ratio = pipeline_ratio () in
+      Some (pipeline_ratio, interp_ratio ())
     else None
   in
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);
   if pick = "baseline" then write_baseline ();
-  match ratio with
-  | Some pipeline_ratio when pick = "check" ->
-    check_against_baseline ~tolerance:!tolerance ~pipeline_ratio
+  match ratios with
+  | Some (pipeline_ratio, interp_ratio) when pick = "check" ->
+    check_against_baseline ~tolerance:!tolerance ~pipeline_ratio ~interp_ratio
   | _ -> ()

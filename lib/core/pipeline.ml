@@ -151,20 +151,25 @@ let run ?options ?plan ?profile ?sched prog ~nprocs ~block =
           (fun () -> Sim.record ?sched prog ~nprocs))
   in
   let trace = recorded.Sim.trace in
-  let cache =
-    Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-      (Mpcache.default_config ~nprocs ~block)
+  (* the cache's set-up and read-out belong to its layer too *)
+  let cache, per_block =
+    Span.timed "replay+cache"
+      ~attrs:[ ("events", string_of_int (Cell_trace.length trace)) ]
+      (fun () ->
+        Profile.time profile "replay+cache"
+          ~events:(fun _ -> Cell_trace.length trace)
+          (fun () ->
+            let cache =
+              Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
+                (Mpcache.default_config ~nprocs ~block)
+            in
+            ignore (Replay.simulate trace ~layout ~cache);
+            let proc_counts = Mpcache.proc_counts cache in
+            ingest_interp metrics ~proc_counts trace;
+            let per_block = Mpcache.per_block cache in
+            ingest_cache metrics ~proc_counts ~per_block;
+            (cache, per_block)))
   in
-  Span.timed "replay+cache"
-    ~attrs:[ ("events", string_of_int (Cell_trace.length trace)) ]
-    (fun () ->
-      Profile.time profile "replay+cache"
-        ~events:(fun () -> Cell_trace.length trace)
-        (fun () ->
-          ignore (Replay.simulate trace ~layout ~cache);
-          ingest_interp metrics ~proc_counts:(Mpcache.proc_counts cache) trace));
-  let per_block = Mpcache.per_block cache in
-  ingest_cache metrics ~proc_counts:(Mpcache.proc_counts cache) ~per_block;
   {
     report;
     cache =

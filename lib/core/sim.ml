@@ -6,8 +6,8 @@ module Ksr = Fs_machine.Ksr
 
 type recorded = { trace : Fs_trace.Cell_trace.t; interp : Interp.result }
 
-let record ?quantum ?max_steps ?sched prog ~nprocs =
-  let trace, interp = Interp.record ?quantum ?max_steps ?sched prog ~nprocs in
+let record ?max_steps ?sched prog ~nprocs =
+  let trace, interp = Interp.record ?max_steps ?sched prog ~nprocs in
   { trace; interp }
 
 type cache_run = {

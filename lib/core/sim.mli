@@ -13,7 +13,6 @@ type recorded = {
 }
 
 val record :
-  ?quantum:int ->
   ?max_steps:int ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->

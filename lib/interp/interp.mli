@@ -6,10 +6,16 @@
     code, synchronize at barriers and locks, and share the global data.
 
     Processes are OCaml effect-handler coroutines scheduled round-robin
-    with a small quantum measured in interpreter work units, so the emitted
-    reference trace interleaves processor accesses at fine grain — the
-    cross-processor interleaving false sharing depends on.  Scheduling is
-    fully deterministic.
+    with a small fixed quantum measured in interpreter work units, so the
+    emitted reference trace interleaves processor accesses at fine grain —
+    the cross-processor interleaving false sharing depends on.  Scheduling
+    is fully deterministic.
+
+    Values that are provably ints (literals, [Pdv], [Nprocs], int-only
+    private slots and globals, and operators over them) are computed and
+    stored unboxed; everything else — floats, parameters, call results —
+    keeps the boxed {!Value.t}.  The representation is invisible: a
+    program's trace and final memory are the same either way.
 
     Execution is {e layout-free}: the interpreter names every shared
     reference by its abstract location — (variable id, cell id) — and
@@ -41,7 +47,6 @@ type result = {
 }
 
 val run_cells :
-  ?quantum:int ->
   ?max_steps:int ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->
@@ -58,7 +63,6 @@ val run_cells :
     identity.  For programs without tasks, [sched] is ignored. *)
 
 val record :
-  ?quantum:int ->
   ?max_steps:int ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->
@@ -73,7 +77,6 @@ val vars : Fs_ir.Ast.program -> string array
 (** Variable ids in declaration order, as used by cell events. *)
 
 val run :
-  ?quantum:int ->
   ?max_steps:int ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->
@@ -81,9 +84,10 @@ val run :
   layout:Fs_layout.Layout.t ->
   listener:Fs_trace.Listener.t ->
   result
-(** [quantum] (default 12) is the number of work units a process executes
-    between scheduling points; an access costs 3 units, other statements 1.
-    [max_steps] (default 400 million) bounds total work.
+(** A process executes 12 work units between scheduling points (an
+    access costs 3 units, other statements 1).  The count is a fixed
+    constant, not an option: it shapes the interleaving, and so every
+    recorded trace.  [max_steps] (default 400 million) bounds total work.
 
     @raise Runtime_error on dynamic errors (bad index, float index,
       division by zero, unlock of a lock not held, missing return value)
@@ -91,7 +95,6 @@ val run :
     @raise Nontermination when [max_steps] is exceeded *)
 
 val run_to_sink :
-  ?quantum:int ->
   ?max_steps:int ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->

@@ -39,43 +39,58 @@ let tag_lock_grant = 5
    so the generic proc/var extractors keep working on it. *)
 let tag_steal = 6
 
-let check what v limit =
-  if v < 0 || v > limit then
-    invalid_arg (Printf.sprintf "Cell_event.pack: %s %d out of range [0,%d]" what v limit)
+let out_of_range what v limit =
+  invalid_arg (Printf.sprintf "Cell_event.pack: %s %d out of range [0,%d]" what v limit)
+
+let[@inline] check what v limit = if v < 0 || v > limit then out_of_range what v limit
+
+(* Checked packers, one per tag: the recorders call these straight from
+   their listener callbacks, so no event variant is built per event. *)
+let pack_access ~proc ~write ~var ~cell =
+  check "proc" proc max_proc;
+  check "var" var max_var;
+  check "cell" cell max_wide_cell;
+  tag_access
+  lor ((if write then 1 else 0) lsl 3)
+  lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
+
+let pack_work ~proc ~amount =
+  check "proc" proc max_proc;
+  check "amount" amount max_amount;
+  tag_work lor (proc lsl 4) lor (amount lsl 12)
+
+let pack_barrier_arrive ~proc =
+  check "proc" proc max_proc;
+  tag_barrier_arrive lor (proc lsl 4)
+
+let pack_lock_wait ~proc ~var ~cell =
+  check "proc" proc max_proc;
+  check "var" var max_var;
+  check "cell" cell max_wide_cell;
+  tag_lock_wait lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
+
+let pack_lock_grant ~proc ~var ~cell ~from =
+  check "proc" proc max_proc;
+  check "var" var max_var;
+  check "from+1" (from + 1) (max_proc + 1);
+  check "cell" cell max_cell;
+  tag_lock_grant lor (proc lsl 4) lor (var lsl 12)
+  lor ((from + 1) lsl 20) lor (cell lsl 29)
+
+let pack_steal ~thief ~victim ~task =
+  check "thief" thief max_proc;
+  check "victim" victim max_proc;
+  check "task" task max_wide_cell;
+  tag_steal lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
 
 let pack = function
-  | Access { proc; write; var; cell } ->
-    check "proc" proc max_proc;
-    check "var" var max_var;
-    check "cell" cell max_wide_cell;
-    tag_access
-    lor ((if write then 1 else 0) lsl 3)
-    lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
-  | Work { proc; amount } ->
-    check "proc" proc max_proc;
-    check "amount" amount max_amount;
-    tag_work lor (proc lsl 4) lor (amount lsl 12)
-  | Barrier_arrive { proc } ->
-    check "proc" proc max_proc;
-    tag_barrier_arrive lor (proc lsl 4)
+  | Access { proc; write; var; cell } -> pack_access ~proc ~write ~var ~cell
+  | Work { proc; amount } -> pack_work ~proc ~amount
+  | Barrier_arrive { proc } -> pack_barrier_arrive ~proc
   | Barrier_release -> tag_barrier_release
-  | Lock_wait { proc; var; cell } ->
-    check "proc" proc max_proc;
-    check "var" var max_var;
-    check "cell" cell max_wide_cell;
-    tag_lock_wait lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
-  | Lock_grant { proc; var; cell; from } ->
-    check "proc" proc max_proc;
-    check "var" var max_var;
-    check "from+1" (from + 1) (max_proc + 1);
-    check "cell" cell max_cell;
-    tag_lock_grant lor (proc lsl 4) lor (var lsl 12)
-    lor ((from + 1) lsl 20) lor (cell lsl 29)
-  | Steal { thief; victim; task } ->
-    check "thief" thief max_proc;
-    check "victim" victim max_proc;
-    check "task" task max_wide_cell;
-    tag_steal lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
+  | Lock_wait { proc; var; cell } -> pack_lock_wait ~proc ~var ~cell
+  | Lock_grant { proc; var; cell; from } -> pack_lock_grant ~proc ~var ~cell ~from
+  | Steal { thief; victim; task } -> pack_steal ~thief ~victim ~task
 
 (* Field extractors over the packed form, for consumers that cannot
    afford [unpack]'s variant allocation per event (the fused replay
@@ -90,27 +105,6 @@ let[@inline] packed_cell packed = packed lsr 20
 let[@inline] packed_amount packed = packed lsr 12
 let[@inline] packed_grant_from1 packed = (packed lsr 20) land 0x1ff
 let[@inline] packed_grant_cell packed = packed lsr 29
-
-(* Unchecked constructors over already-validated fields, for the v2 trace
-   decoder: it range-checks every decoded field itself (so corruption
-   surfaces as [Cell_trace.Corrupt], not [Invalid_argument]) and then
-   builds the packed form without paying [pack]'s checks per event. *)
-let[@inline] unsafe_pack_access ~write ~proc ~var ~cell =
-  tag_access
-  lor ((if write then 1 else 0) lsl 3)
-  lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
-
-let[@inline] unsafe_pack_work ~proc ~amount = tag_work lor (proc lsl 4) lor (amount lsl 12)
-let[@inline] unsafe_pack_barrier_arrive ~proc = tag_barrier_arrive lor (proc lsl 4)
-
-let[@inline] unsafe_pack_lock_wait ~proc ~var ~cell =
-  tag_lock_wait lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
-
-let[@inline] unsafe_pack_lock_grant ~proc ~var ~from1 ~cell =
-  tag_lock_grant lor (proc lsl 4) lor (var lsl 12) lor (from1 lsl 20) lor (cell lsl 29)
-
-let[@inline] unsafe_pack_steal ~thief ~victim ~task =
-  tag_steal lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20)
 
 let unpack packed =
   let proc = (packed lsr 4) land 0xff in

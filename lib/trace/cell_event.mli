@@ -30,6 +30,19 @@ type t =
 val pack : t -> int
 (** @raise Invalid_argument when a field exceeds its packed range. *)
 
+(** {1 Checked packing per tag}
+
+    [pack] of the matching constructor, with the same range checks and
+    the same [Invalid_argument] text, without building the variant: the
+    recorders call these once per event. *)
+
+val pack_access : proc:int -> write:bool -> var:int -> cell:int -> int
+val pack_work : proc:int -> amount:int -> int
+val pack_barrier_arrive : proc:int -> int
+val pack_lock_wait : proc:int -> var:int -> cell:int -> int
+val pack_lock_grant : proc:int -> var:int -> cell:int -> from:int -> int
+val pack_steal : thief:int -> victim:int -> task:int -> int
+
 val unpack : int -> t
 
 (** {1 Allocation-free field access}
@@ -81,19 +94,5 @@ val max_wide_cell : int
 (** Cell bound for [Access] / [Lock_wait]. *)
 
 val max_amount : int
-
-(** {1 Unchecked packing}
-
-    Constructors that skip {!pack}'s range checks, for the v2 trace
-    decoder, which validates decoded fields itself before packing.
-    Out-of-range arguments silently corrupt neighbouring fields — only
-    call these with values already checked against the bounds above. *)
-
-val unsafe_pack_access : write:bool -> proc:int -> var:int -> cell:int -> int
-val unsafe_pack_work : proc:int -> amount:int -> int
-val unsafe_pack_barrier_arrive : proc:int -> int
-val unsafe_pack_lock_wait : proc:int -> var:int -> cell:int -> int
-val unsafe_pack_lock_grant : proc:int -> var:int -> from1:int -> cell:int -> int
-val unsafe_pack_steal : thief:int -> victim:int -> task:int -> int
 
 val pp : Format.formatter -> t -> unit

@@ -1,10 +1,19 @@
+(* Recording appends to chunks that double in size up to a cap, so it
+   never copies or re-initialises what it already holds (regrowing one
+   array cost more than packing the events).  [compact], or else the
+   first read, joins the chunks into the one array every reader walks. *)
 type t = {
   vars : string array;
   ids : (string, int) Hashtbl.t;  (* name -> variable id, built once *)
   nprocs : int;
-  mutable data : int array;
+  mutable chunks : int array list;  (* full chunks, newest first *)
+  mutable cur : int array;          (* the chunk being filled *)
+  mutable pos : int;                (* events in [cur] *)
   mutable len : int;
+  mutable joined : int array;       (* all [len] events, when up to date *)
 }
+
+let max_chunk = 1 lsl 16
 
 let id_table vars =
   let ids = Hashtbl.create (Array.length vars) in
@@ -15,7 +24,16 @@ let create ~vars ~nprocs =
   if nprocs <= 0 then invalid_arg "Cell_trace.create: nprocs must be positive";
   if Array.length vars > Cell_event.max_var + 1 then
     invalid_arg "Cell_trace.create: too many variables";
-  { vars; ids = id_table vars; nprocs; data = Array.make 1024 0; len = 0 }
+  {
+    vars;
+    ids = id_table vars;
+    nprocs;
+    chunks = [];
+    cur = Array.make 1024 0;
+    pos = 0;
+    len = 0;
+    joined = [||];
+  }
 
 let vars t = t.vars
 let nprocs t = t.nprocs
@@ -23,57 +41,66 @@ let length t = t.len
 
 let var_id t name = Hashtbl.find_opt t.ids name
 
+let next_chunk t =
+  t.chunks <- t.cur :: t.chunks;
+  t.cur <- Array.make (max 1024 (min max_chunk (2 * t.pos))) 0;
+  t.pos <- 0
+
 let push t packed =
-  if t.len = Array.length t.data then begin
-    let bigger = Array.make (2 * t.len) 0 in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end;
-  t.data.(t.len) <- packed;
+  if t.pos = Array.length t.cur then next_chunk t;
+  t.cur.(t.pos) <- packed;
+  t.pos <- t.pos + 1;
   t.len <- t.len + 1
 
+(* the events in one array of exactly [len], joined on the first read
+   after a push; later pushes start a fresh chunk after it *)
+let data t =
+  if Array.length t.joined <> t.len then begin
+    let joined = Array.concat (List.rev (Array.sub t.cur 0 t.pos :: t.chunks)) in
+    t.chunks <- [];
+    t.cur <- joined;
+    t.pos <- t.len;
+    t.joined <- joined
+  end;
+  t.joined
+
+(* Every recorder (in memory, and the streaming writer) packs through
+   the checked per-tag packers: no event variant is built per event. *)
 let listener_of_push push =
   {
     Cell_listener.access =
       (fun ~proc ~write ~var ~cell ->
-        push (Cell_event.pack (Access { proc; write; var; cell })));
-    work = (fun ~proc ~amount -> push (Cell_event.pack (Work { proc; amount })));
-    barrier_arrive =
-      (fun ~proc -> push (Cell_event.pack (Barrier_arrive { proc })));
-    barrier_release = (fun () -> push (Cell_event.pack Barrier_release));
+        push (Cell_event.pack_access ~proc ~write ~var ~cell));
+    work = (fun ~proc ~amount -> push (Cell_event.pack_work ~proc ~amount));
+    barrier_arrive = (fun ~proc -> push (Cell_event.pack_barrier_arrive ~proc));
+    barrier_release = (fun () -> push Cell_event.tag_barrier_release);
     lock_wait =
-      (fun ~proc ~var ~cell ->
-        push (Cell_event.pack (Lock_wait { proc; var; cell })));
+      (fun ~proc ~var ~cell -> push (Cell_event.pack_lock_wait ~proc ~var ~cell));
     lock_grant =
       (fun ~proc ~var ~cell ~from ->
-        push (Cell_event.pack (Lock_grant { proc; var; cell; from })));
+        push (Cell_event.pack_lock_grant ~proc ~var ~cell ~from));
     steal =
       (fun ~thief ~victim ~task ->
-        push (Cell_event.pack (Steal { thief; victim; task })));
+        push (Cell_event.pack_steal ~thief ~victim ~task));
   }
 
 let recorder t = listener_of_push (push t)
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Cell_trace.get: out of range";
-  Cell_event.unpack t.data.(i)
+  Cell_event.unpack (data t).(i)
 
-let iter_packed f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
+let iter_packed f t = Array.iter f (data t)
 
-let unsafe_data t = t.data
+let unsafe_data = data
+let compact t = ignore (data t)
 
 let iter f t = iter_packed (fun packed -> f (Cell_event.unpack packed)) t
 
 let deliver t listener = iter (Cell_listener.dispatch listener) t
 
 let equal a b =
-  a.nprocs = b.nprocs && a.vars = b.vars && a.len = b.len
-  &&
-  let rec go i = i >= a.len || (a.data.(i) = b.data.(i) && go (i + 1)) in
-  go 0
+  a.nprocs = b.nprocs && a.vars = b.vars && a.len = b.len && data a = data b
 
 (* ------------------------------------------------------------------ *)
 (* Disk format.  Little-endian with 64-bit header fields: delta/varint
@@ -411,8 +438,9 @@ end
 let write_file ?block_events t path =
   let w = Writer.create ?block_events ~vars:t.vars ~nprocs:t.nprocs path in
   match
+    let data = data t in
     for i = 0 to t.len - 1 do
-      Writer.push w t.data.(i)
+      Writer.push w data.(i)
     done;
     Writer.close w
   with
@@ -455,9 +483,12 @@ let read_varint map pos limit ~block =
   !v
 
 (* Decode [count] events of the payload at [pos, pos + plen) into
-   [dst.(dst_off ..)].  Every decoded field is range-checked before the
-   unchecked pack, so data that defeats the CRC still cannot produce
-   packed events outside the event invariants. *)
+   [dst.(dst_off ..)].  Every decoded field is range-checked before it is
+   shifted into place, so data that defeats the CRC still cannot produce
+   packed events outside the event invariants.  The shifts write the bit
+   layout documented in [Cell_event] inline, as the replay walks read it:
+   a packer call per event would be a cross-module call the compiler
+   cannot inline. *)
 let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
   let limit = pos + plen in
   let pos = ref pos in
@@ -482,7 +513,9 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
           corrupt "block %d: steal proc out of range" block;
         if task > Cell_event.max_wide_cell then
           corrupt "block %d: task out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_steal ~thief ~victim ~task;
+        dst.(n) <-
+          Cell_event.tag_steal lor (thief lsl 4) lor (victim lsl 12)
+          lor (task lsl 20);
         prev_proc := thief
       end
       else begin
@@ -498,7 +531,10 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
         let cell = last_cell.(ctx) + 1 in
         if cell > Cell_event.max_wide_cell then
           corrupt "block %d: cell out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_access ~write:(tag = 7) ~proc ~var ~cell;
+        dst.(n) <-
+          Cell_event.tag_access
+          lor ((tag - 6) lsl 3)
+          lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20);
         last_cell.(ctx) <- cell;
         prev_proc := proc
       end
@@ -539,16 +575,18 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
              corrupt "block %d: bad lock source" block;
            if cell > Cell_event.max_cell then
              corrupt "block %d: cell out of range" block;
-           dst.(n) <- Cell_event.unsafe_pack_lock_grant ~proc ~var ~from1 ~cell
+           dst.(n) <-
+             Cell_event.tag_lock_grant lor (proc lsl 4) lor (var lsl 12)
+             lor (from1 lsl 20) lor (cell lsl 29)
          end
          else begin
            if cell > Cell_event.max_wide_cell then
              corrupt "block %d: cell out of range" block;
+           (* Access and Lock_wait share a layout; bit 3 of an access's
+              lead byte is its write flag *)
+           let write = if tag = Cell_event.tag_access then b land 8 else 0 in
            dst.(n) <-
-             (if tag = 0 then
-                Cell_event.unsafe_pack_access ~write:(b land 8 <> 0) ~proc ~var
-                  ~cell
-              else Cell_event.unsafe_pack_lock_wait ~proc ~var ~cell)
+             tag lor write lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
          end);
         last_var.(proc) <- var;
         last_cell.(ctx) <- cell
@@ -561,11 +599,11 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
         in
         if amount < 0 || amount > Cell_event.max_amount then
           corrupt "block %d: amount out of range" block;
-        dst.(n) <- Cell_event.unsafe_pack_work ~proc ~amount;
+        dst.(n) <- Cell_event.tag_work lor (proc lsl 4) lor (amount lsl 12);
         last_amount.(proc) <- amount
       | 2 ->
         if b lsr 6 <> 0 then corrupt "block %d: bad arrive lead byte" block;
-        dst.(n) <- Cell_event.unsafe_pack_barrier_arrive ~proc
+        dst.(n) <- Cell_event.tag_barrier_arrive lor (proc lsl 4)
       | _ -> assert false);
       prev_proc := proc
     end
@@ -719,7 +757,7 @@ let map_whole_file path =
 let read_file path =
   let map = map_whole_file path in
   let info = parse map in
-  let data = Array.make (max info.i_total 1) 0 in
+  let data = Array.make info.i_total 0 in
   for k = 0 to Array.length info.i_offsets - 1 do
     decode_into map info k data info.i_starts.(k)
   done;
@@ -727,8 +765,11 @@ let read_file path =
     vars = info.i_vars;
     ids = id_table info.i_vars;
     nprocs = info.i_nprocs;
-    data;
+    chunks = [];
+    cur = data;
+    pos = info.i_total;
     len = info.i_total;
+    joined = data;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -16,7 +16,12 @@ val create : vars:string array -> nprocs:int -> t
     variables. *)
 
 val recorder : t -> Cell_listener.t
-(** Appends every delivered event to the trace. *)
+(** Appends every delivered event to the trace.  Recording fills chunks;
+    the first read joins them into one array (one copy). *)
+
+val compact : t -> unit
+(** Join the recorded chunks now rather than on the first read, so a
+    recording's cost stays with the recording. *)
 
 val vars : t -> string array
 val nprocs : t -> int
@@ -33,10 +38,9 @@ val deliver : t -> Cell_listener.t -> unit
 (** Re-deliver the recorded stream, in order. *)
 
 val unsafe_data : t -> int array
-(** The backing array of packed events.  Only indices
-    [0 .. length t - 1] hold events (the array over-allocates for
-    growth), and the array must not be mutated; it is exposed so the
-    fused replay loop can iterate without a per-event closure call. *)
+(** The packed events, [length t] of them, in one array that must not be
+    mutated; it is exposed so the fused replay loop can iterate without a
+    per-event closure call. *)
 
 val equal : t -> t -> bool
 

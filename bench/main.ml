@@ -14,9 +14,11 @@
    and `check`, which runs the quick pass and fails (exit 1) if any
    deterministic section drifted from the committed baseline, ran
    slower than the baseline by more than the tolerance factor
-   (`--tolerance F`, default 10), or if `Pipeline.run`'s replay or
-   `Interp.record` ran below its floor fraction of the fused engine's
-   events/s in this run (`ratio`: 0.4 and 0.1).
+   (`--tolerance F`, default 10), or if `Pipeline.run`'s replay,
+   `Interp.record` or the trace codec (write a v2 file, replay it
+   streamed) ran below its floor fraction of the fused engine's events/s
+   in this run (`ratio`: 0.4, 0.1 and 0.21; each the median of paired
+   trials).
    `--jobs N` sets the number of worker domains that independent runs
    fan out over (default: the FALSESHARE_JOBS environment variable, else
    the recommended domain count).
@@ -536,34 +538,78 @@ let telemetry_bench () =
          ("counts_identical", Json.Bool counts_identical) ])
 
 (* ------------------------------------------------------------------ *)
-(* Ratio gate: the pipeline's replay against the fused engine          *)
+(* Ratio gates: a layer's events/s against the fused engine's          *)
 
-(* [Pipeline.run]'s tracked replay plus its interp_* counting pass must
-   keep within this fraction of an untracked fused replay's events/s.  A
-   per-event listener on the pipeline's walk runs at ~0.04; the engine
-   route at ~0.7.  Both sides are timed in the same run, so the ratio
-   carries across machines where a wall-clock tolerance does not. *)
-let pipeline_ratio_floor = 0.4
+(* Each gate times two sides of one job in the same run, so the ratio
+   carries across machines where a wall-clock tolerance does not.  A
+   trial times both sides back to back, in alternating order, so a slow
+   stretch on a shared box lands on both sides of one trial; the gate
+   reads the median of the per-trial ratios.  [layer] and [fused] return
+   the seconds their side took; the ratio is the layer's events/s over
+   the fused engine's. *)
+let ratio_trials = 9
 
-let best_of_3 f =
-  List.fold_left min infinity
-    (List.init 3 (fun _ ->
-         Gc.full_major ();
-         f ()))
+let paired_ratio ~layer ~fused =
+  let after_gc f =
+    Gc.full_major ();
+    f ()
+  in
+  let trial k =
+    if k mod 2 = 0 then
+      let l = after_gc layer in
+      (l, after_gc fused)
+    else
+      let f = after_gc fused in
+      (after_gc layer, f)
+  in
+  let trials = List.init ratio_trials trial in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  ( median (List.map (fun (l, f) -> f /. l) trials),
+    median (List.map fst trials),
+    median (List.map snd trials) )
 
-(* both ratio gates time pverify at its Figure 3 processor count and
+type gate = { name : string; what : string; ratio : float; floor : float }
+
+(* print, record under [name] (seconds are per-side medians) and return
+   the gate *)
+let ratio_gate ~name ~what ~floor ~events ~layer_key (ratio, layer, fused) =
+  let meps t = float_of_int events /. t /. 1e6 in
+  Printf.printf
+    "%d events | %s %.1f Mevents/s | fused %.1f Mevents/s | ratio %.2f \
+     (median of %d paired trials; floor %.2f)\n"
+    events what (meps layer) (meps fused) ratio ratio_trials floor;
+  record name ~seconds:(layer +. fused)
+    (Json.Obj
+       [ ("events", Json.Int events);
+         (layer_key, Json.float layer);
+         ("fused_seconds", Json.float fused);
+         ("ratio", Json.float ratio);
+         ("trials", Json.Int ratio_trials);
+         ("floor", Json.float floor) ]);
+  { name; what; ratio; floor }
+
+(* all ratio gates time pverify at its Figure 3 processor count and
    four times its default scale (~1.5M events) *)
 let ratio_program () =
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
   (w.W.build ~nprocs ~scale:(4 * w.W.default_scale), nprocs)
 
-let untracked_replay_seconds trace ~layout ~nprocs ~block =
-  best_of_3 (fun () ->
-      let cache =
-        C.create ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block)
-      in
-      snd (time_it (fun () -> Fs_replay.Replay.simulate trace ~layout ~cache)))
+let untracked_replay_seconds trace ~layout ~nprocs ~block () =
+  let cache =
+    C.create ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block)
+  in
+  snd (time_it (fun () -> Fs_replay.Replay.simulate trace ~layout ~cache))
+
+(* [Pipeline.run]'s tracked replay plus its interp_* counting pass must
+   keep within this fraction of an untracked fused replay's events/s.  A
+   per-event listener on the pipeline's walk runs at ~0.04; the engine
+   route at ~0.7. *)
+let pipeline_ratio_floor = 0.4
 
 let pipeline_ratio () =
   section "Pipeline replay vs fused engine (pverify, compiler plan, 128B)";
@@ -574,69 +620,90 @@ let pipeline_ratio () =
   let layout = Layout.realize prog (T.plan prog ~nprocs).T.plan ~block in
   (* the pipeline's own replay+cache entry: its walk over the same
      recording (recording is deterministic) and its counting pass *)
-  let pipeline =
-    best_of_3 (fun () ->
-        let r = Falseshare.Pipeline.run prog ~nprocs ~block in
-        let e =
-          List.find
-            (fun (e : Fs_obs.Profile.entry) -> e.name = "replay+cache")
-            (Fs_obs.Profile.entries r.Falseshare.Pipeline.profile)
-        in
-        assert (e.events = events);
-        e.seconds)
+  let pipeline () =
+    let r = Falseshare.Pipeline.run prog ~nprocs ~block in
+    let e =
+      List.find
+        (fun (e : Fs_obs.Profile.entry) -> e.name = "replay+cache")
+        (Fs_obs.Profile.entries r.Falseshare.Pipeline.profile)
+    in
+    assert (e.events = events);
+    e.seconds
   in
-  let fused = untracked_replay_seconds trace ~layout ~nprocs ~block in
-  let meps t = float_of_int events /. t /. 1e6 in
-  let ratio = fused /. pipeline in
-  Printf.printf
-    "%d events | pipeline replay+cache %.1f Mevents/s | fused %.1f \
-     Mevents/s | ratio %.2f (floor %.2f)\n"
-    events (meps pipeline) (meps fused) ratio pipeline_ratio_floor;
-  record "pipeline-ratio" ~seconds:(pipeline +. fused)
-    (Json.Obj
-       [ ("events", Json.Int events);
-         ("pipeline_seconds", Json.float pipeline);
-         ("fused_seconds", Json.float fused);
-         ("ratio", Json.float ratio);
-         ("floor", Json.float pipeline_ratio_floor) ]);
-  ratio
+  paired_ratio ~layer:pipeline
+    ~fused:(untracked_replay_seconds trace ~layout ~nprocs ~block)
+  |> ratio_gate ~name:"pipeline-ratio" ~what:"pipeline replay+cache"
+       ~floor:pipeline_ratio_floor ~events ~layer_key:"pipeline_seconds"
 
 (* [Interp.record]'s events/s must keep within this fraction of an
-   untracked fused replay of the trace it records (best of 3 each, timed
-   in the same run).  On a 2-core x86-64 container, 10 readings of the
-   unboxed interpreter gave 0.12-0.17 (5.5-7.1 Mevents/s); the boxed one
-   it replaced read 0.07-0.08 in 5 (2.4-3.1 Mevents/s). *)
+   untracked fused replay of the trace it records.  On a 2-core x86-64
+   container, 10 readings of the unboxed interpreter gave 0.12-0.17
+   (5.5-7.1 Mevents/s); the boxed one it replaced read 0.07-0.08 in 5
+   (2.4-3.1 Mevents/s). *)
 let interp_ratio_floor = 0.10
 
 let interp_ratio () =
   section "Interpreter recording vs fused engine (pverify, packed layout, 128B)";
   let prog, nprocs = ratio_program () in
   let block = 128 in
-  let trace = ref None in
-  let recording =
-    best_of_3 (fun () ->
-        let (t, _), dt = time_it (fun () -> Fs_interp.Interp.record prog ~nprocs) in
-        trace := Some t;
-        dt)
-  in
-  let trace = Option.get !trace in
+  let trace = fst (Fs_interp.Interp.record prog ~nprocs) in
   let events = Ct.length trace in
   let layout = Layout.realize prog [] ~block in
-  let fused = untracked_replay_seconds trace ~layout ~nprocs ~block in
-  let meps t = float_of_int events /. t /. 1e6 in
-  let ratio = fused /. recording in
-  Printf.printf
-    "%d events | Interp.record %.1f Mevents/s | fused %.1f Mevents/s | ratio \
-     %.2f (floor %.2f)\n"
-    events (meps recording) (meps fused) ratio interp_ratio_floor;
-  record "interp-ratio" ~seconds:(recording +. fused)
-    (Json.Obj
-       [ ("events", Json.Int events);
-         ("record_seconds", Json.float recording);
-         ("fused_seconds", Json.float fused);
-         ("ratio", Json.float ratio);
-         ("floor", Json.float interp_ratio_floor) ]);
-  ratio
+  let recording () =
+    let (t, _), dt = time_it (fun () -> Fs_interp.Interp.record prog ~nprocs) in
+    assert (Ct.length t = events);
+    dt
+  in
+  paired_ratio ~layer:recording
+    ~fused:(untracked_replay_seconds trace ~layout ~nprocs ~block)
+  |> ratio_gate ~name:"interp-ratio" ~what:"Interp.record"
+       ~floor:interp_ratio_floor ~events ~layer_key:"record_seconds"
+
+(* Writing a recording to a v2 file and replaying it streamed
+   ([write_file] then [simulate_stream]) must keep within this fraction
+   of an untracked in-memory replay's events/s.  On a 2-core x86-64
+   container, 12 alternating runs of each side: 0.24-0.27 with the
+   inline-shift encoder, sliced CRC-32 and tighter block decoder,
+   0.15-0.17 with the codec they replaced. *)
+let codec_ratio_floor = 0.21
+
+let codec_ratio () =
+  section "Trace codec vs fused engine (pverify, compiler plan, 128B)";
+  let module R = Fs_replay.Replay in
+  let prog, nprocs = ratio_program () in
+  let block = 128 in
+  let trace = (Sim.record prog ~nprocs).Sim.trace in
+  let events = Ct.length trace in
+  let layout = Layout.realize prog (T.plan prog ~nprocs).T.plan ~block in
+  let config = C.default_config ~nprocs ~block in
+  let reference =
+    (R.simulate trace ~layout ~cache:(C.create ~max_addr:(Layout.size layout) config))
+      .R.counts
+  in
+  let codec () =
+    (* a fresh name each trial: renaming over an existing file can make
+       the filesystem flush it, timing the disk instead of the codec *)
+    let path = tmp_trace "codec" in
+    Sys.remove path;
+    let cache = C.create ~max_addr:(Layout.size layout) config in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let counts, dt =
+          time_it (fun () ->
+              Ct.write_file trace path;
+              let s = Ct.of_file_stream path in
+              Fun.protect
+                ~finally:(fun () -> Ct.Stream.close s)
+                (fun () -> (R.simulate_stream s ~layout ~cache).R.counts))
+        in
+        assert (counts = reference);
+        dt)
+  in
+  paired_ratio ~layer:codec
+    ~fused:(untracked_replay_seconds trace ~layout ~nprocs ~block)
+  |> ratio_gate ~name:"codec-ratio" ~what:"write_file + simulate_stream"
+       ~floor:codec_ratio_floor ~events ~layer_key:"codec_seconds"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                 *)
@@ -965,7 +1032,7 @@ let serve_bench ~quick ~jobs () =
    deterministic experiment data *)
 let nondeterministic =
   [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracescale"; "pipeline-ratio"; "interp-ratio" ]
+    "serve"; "tracescale"; "pipeline-ratio"; "interp-ratio"; "codec-ratio" ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -997,7 +1064,7 @@ let write_baseline () =
   close_out oc;
   Printf.printf "\nseeded %s\n" path
 
-let check_against_baseline ~tolerance ~pipeline_ratio ~interp_ratio =
+let check_against_baseline ~tolerance ~gates =
   let path = baseline_path () in
   if not (Sys.file_exists path) then begin
     Printf.printf
@@ -1013,12 +1080,12 @@ let check_against_baseline ~tolerance ~pipeline_ratio ~interp_ratio =
   let current = List.rev !results in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if pipeline_ratio < pipeline_ratio_floor then
-    fail "pipeline-ratio: pipeline replay at %.2fx the fused engine's events/s \
-          (floor %.2fx)" pipeline_ratio pipeline_ratio_floor;
-  if interp_ratio < interp_ratio_floor then
-    fail "interp-ratio: Interp.record at %.2fx the fused engine's events/s \
-          (floor %.2fx)" interp_ratio interp_ratio_floor;
+  List.iter
+    (fun g ->
+      if g.ratio < g.floor then
+        fail "%s: %s at %.2fx the fused engine's events/s (floor %.2fx)" g.name
+          g.what g.ratio g.floor)
+    gates;
   List.iter
     (fun (name, bj) ->
       if not (List.mem name nondeterministic) then
@@ -1196,15 +1263,13 @@ let () =
   if all || gate || pick = "phases" then phases_bench ();
   if all || gate || pick = "serve" then serve_bench ~quick ~jobs ();
   if all || pick = "micro" then micro ~quick ();
-  let ratios =
+  let gates =
     if all || pick = "check" || pick = "ratio" then
-      let pipeline_ratio = pipeline_ratio () in
-      Some (pipeline_ratio, interp_ratio ())
-    else None
+      let pipeline = pipeline_ratio () in
+      let interp = interp_ratio () in
+      [ pipeline; interp; codec_ratio () ]
+    else []
   in
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);
   if pick = "baseline" then write_baseline ();
-  match ratios with
-  | Some (pipeline_ratio, interp_ratio) when pick = "check" ->
-    check_against_baseline ~tolerance:!tolerance ~pipeline_ratio ~interp_ratio
-  | _ -> ()
+  if pick = "check" then check_against_baseline ~tolerance:!tolerance ~gates

@@ -845,7 +845,6 @@ let open_trace path =
   | s -> s
   | exception Ct.Corrupt msg ->
     trace_error path ("not a valid trace file (" ^ msg ^ ")")
-  | exception Sys_error msg -> trace_error path msg
   | exception Unix.Unix_error (e, _, _) -> trace_error path (Unix.error_message e)
 
 let trace_stat_json path =

@@ -137,7 +137,7 @@ let compute dir (w : Workload.t) k =
         | trace when Cell_trace.nprocs trace = k.nprocs ->
           Some { prog; trace; interp = result_of_trace trace }
         | _ -> None
-        | exception (Cell_trace.Corrupt _ | Sys_error _) -> None)
+        | exception (Cell_trace.Corrupt _ | Unix.Unix_error _) -> None)
   in
   match from_disk with
   | Some e ->

@@ -118,9 +118,9 @@ let equal a b =
    Blocks are located through the index (the footer trails its payload,
    so a forward scan cannot skip a block without decoding it); the
    trailer is found from the end of the file.  Each block's delta state
-   resets, so any block decodes independently — that is what lets the
-   streamed replay hand blocks to pool workers in parallel and lets an
-   epoch seek start at a block boundary.
+   resets, so any block decodes independently: a damaged block does not
+   corrupt its neighbours, and an epoch seek can start at a block
+   boundary.
 
    Per-event encoding inside a block.  The lead byte's low 3 bits are
    the event tag, with two pseudo-tags for the hot path:
@@ -165,30 +165,41 @@ let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 let[@inline] zigzag v = (v lsl 1) lxor (v asr 62)
 let[@inline] unzigzag u = (u lsr 1) lxor (-(u land 1))
 
-let rec put_varint b v =
-  if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
-  else begin
-    Buffer.add_char b (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-    put_varint b (v lsr 7)
-  end
-
 (* Per-block delta state; reset at every block boundary so each block
-   decodes independently of the others. *)
+   decodes independently of the others.  The payload is written straight
+   into [en_bytes]; [enc_event] first makes room for [max_event_bytes],
+   so the writes inside one event need no capacity checks. *)
 type enc = {
   en_nprocs : int;
   en_nvars : int;
-  en_buf : Buffer.t;
+  mutable en_bytes : Bytes.t;
+  mutable en_len : int;        (* payload bytes in [en_bytes] *)
   en_last_var : int array;     (* per proc: last var touched *)
   en_last_amount : int array;  (* per proc: last work amount *)
   en_last_cell : int array;    (* proc * nvars + var: last cell touched *)
   mutable en_prev_proc : int;
 }
 
+(* a lead byte and at most four varints of at most nine bytes each *)
+let max_event_bytes = 1 + (4 * 9)
+
+let[@inline] put_byte e v =
+  Bytes.unsafe_set e.en_bytes e.en_len (Char.unsafe_chr v);
+  e.en_len <- e.en_len + 1
+
+let rec put_varint_long e v =
+  put_byte e (0x80 lor (v land 0x7f));
+  let v = v lsr 7 in
+  if v < 0x80 then put_byte e v else put_varint_long e v
+
+let[@inline] put_varint e v = if v < 0x80 then put_byte e v else put_varint_long e v
+
 let enc_create ~nprocs ~nvars =
   {
     en_nprocs = nprocs;
     en_nvars = nvars;
-    en_buf = Buffer.create (1 lsl 16);
+    en_bytes = Bytes.create (1 lsl 16);
+    en_len = 0;
     en_last_var = Array.make (max 1 nprocs) 0;
     en_last_amount = Array.make (max 1 nprocs) 0;
     en_last_cell = Array.make (max 1 (nprocs * nvars)) 0;
@@ -196,104 +207,110 @@ let enc_create ~nprocs ~nvars =
   }
 
 let enc_reset e =
-  Buffer.clear e.en_buf;
+  e.en_len <- 0;
   Array.fill e.en_last_var 0 (Array.length e.en_last_var) 0;
   Array.fill e.en_last_amount 0 (Array.length e.en_last_amount) 0;
   Array.fill e.en_last_cell 0 (Array.length e.en_last_cell) 0;
   e.en_prev_proc <- 0
 
+let enc_grow e =
+  let bigger = Bytes.create (2 * Bytes.length e.en_bytes) in
+  Bytes.blit e.en_bytes 0 bigger 0 e.en_len;
+  e.en_bytes <- bigger
+
 let[@inline] enc_pcode e proc =
   if proc = e.en_prev_proc then 0 else if proc = e.en_prev_proc + 1 then 1 else 2
 
-let enc_field_guard e ~proc ~var =
+let[@inline] enc_field_guard e ~proc ~var =
   if proc >= e.en_nprocs || var >= e.en_nvars then
     invalid_arg "Cell_trace: event proc/var exceeds the trace header"
 
+(* The field extractions below are the shifts of [Cell_event]'s packed
+   layout (tag bits 0-2, write bit 3, proc bits 4-11, var bits 12-19,
+   cell or amount from bit 20 / 12, a grant's from+1 at bits 20-28 and
+   its cell from bit 29), written inline: the [Cell_event.packed_*]
+   accessors are cross-module calls the compiler does not inline. *)
 let enc_event e packed =
-  let buf = e.en_buf in
+  if e.en_len > Bytes.length e.en_bytes - max_event_bytes then enc_grow e;
   let tag = packed land 7 in
   match tag with
   | 0 ->
-    let proc = Cell_event.packed_proc packed in
-    let var = Cell_event.packed_var packed in
-    let cell = Cell_event.packed_cell packed in
-    let write = Cell_event.packed_write packed in
+    let proc = (packed lsr 4) land 0xff in
+    let var = (packed lsr 12) land 0xff in
+    let cell = packed lsr 20 in
+    let write = packed land 8 in
     enc_field_guard e ~proc ~var;
     let ctx = (proc * e.en_nvars) + var in
-    let d = cell - e.en_last_cell.(ctx) in
-    if d = 1 && var = e.en_last_var.(proc) then begin
+    let d = cell - Array.unsafe_get e.en_last_cell ctx in
+    if d = 1 && var = Array.unsafe_get e.en_last_var proc then begin
       (* compact access: the sequential inner-loop case, one byte *)
       let q = zigzag (proc - e.en_prev_proc) in
-      let lead = if write then 7 else 6 in
-      if q <= 29 then Buffer.add_char buf (Char.unsafe_chr (lead lor (q lsl 3)))
+      let lead = 6 lor (write lsr 3) in
+      if q <= 29 then put_byte e (lead lor (q lsl 3))
       else begin
-        Buffer.add_char buf (Char.unsafe_chr (lead lor (31 lsl 3)));
-        put_varint buf proc
+        put_byte e (lead lor (31 lsl 3));
+        put_varint e proc
       end
     end
     else begin
       let pcode = enc_pcode e proc in
       let ccode = if d = 1 then 0 else if d = 0 then 1 else 2 in
-      Buffer.add_char buf
-        (Char.unsafe_chr
-           (tag lor (if write then 8 else 0) lor (pcode lsl 4) lor (ccode lsl 6)));
-      if pcode = 2 then put_varint buf proc;
-      put_varint buf (zigzag (var - e.en_last_var.(proc)));
-      if ccode = 2 then put_varint buf (zigzag d)
+      put_byte e (write lor (pcode lsl 4) lor (ccode lsl 6));
+      if pcode = 2 then put_varint e proc;
+      put_varint e (zigzag (var - Array.unsafe_get e.en_last_var proc));
+      if ccode = 2 then put_varint e (zigzag d)
     end;
-    e.en_last_var.(proc) <- var;
-    e.en_last_cell.(ctx) <- cell;
+    Array.unsafe_set e.en_last_var proc var;
+    Array.unsafe_set e.en_last_cell ctx cell;
     e.en_prev_proc <- proc
   | 1 ->
-    let proc = Cell_event.packed_proc packed in
-    let amount = Cell_event.packed_amount packed in
+    let proc = (packed lsr 4) land 0xff in
+    let amount = packed lsr 12 in
     enc_field_guard e ~proc ~var:0;
     let pcode = enc_pcode e proc in
-    let acode = if amount = e.en_last_amount.(proc) then 0 else 2 in
-    Buffer.add_char buf (Char.unsafe_chr (tag lor (pcode lsl 4) lor (acode lsl 6)));
-    if pcode = 2 then put_varint buf proc;
-    if acode = 2 then put_varint buf (zigzag (amount - e.en_last_amount.(proc)));
-    e.en_last_amount.(proc) <- amount;
+    let last = Array.unsafe_get e.en_last_amount proc in
+    let acode = if amount = last then 0 else 2 in
+    put_byte e (tag lor (pcode lsl 4) lor (acode lsl 6));
+    if pcode = 2 then put_varint e proc;
+    if acode = 2 then put_varint e (zigzag (amount - last));
+    Array.unsafe_set e.en_last_amount proc amount;
     e.en_prev_proc <- proc
   | 2 ->
-    let proc = Cell_event.packed_proc packed in
+    let proc = (packed lsr 4) land 0xff in
     enc_field_guard e ~proc ~var:0;
     let pcode = enc_pcode e proc in
-    Buffer.add_char buf (Char.unsafe_chr (tag lor (pcode lsl 4)));
-    if pcode = 2 then put_varint buf proc;
+    put_byte e (tag lor (pcode lsl 4));
+    if pcode = 2 then put_varint e proc;
     e.en_prev_proc <- proc
-  | 3 -> Buffer.add_char buf '\003'
+  | 3 -> put_byte e 3
   | 4 | 5 ->
-    let proc = Cell_event.packed_proc packed in
-    let var = Cell_event.packed_var packed in
-    let cell =
-      if tag = 5 then Cell_event.packed_grant_cell packed
-      else Cell_event.packed_cell packed
-    in
+    let proc = (packed lsr 4) land 0xff in
+    let var = (packed lsr 12) land 0xff in
+    let cell = if tag = 5 then packed lsr 29 else packed lsr 20 in
     enc_field_guard e ~proc ~var;
     let ctx = (proc * e.en_nvars) + var in
-    let d = cell - e.en_last_cell.(ctx) in
+    let d = cell - Array.unsafe_get e.en_last_cell ctx in
     let pcode = enc_pcode e proc in
     let ccode = if d = 1 then 0 else if d = 0 then 1 else 2 in
-    Buffer.add_char buf (Char.unsafe_chr (tag lor (pcode lsl 4) lor (ccode lsl 6)));
-    if pcode = 2 then put_varint buf proc;
-    put_varint buf (zigzag (var - e.en_last_var.(proc)));
-    if ccode = 2 then put_varint buf (zigzag d);
-    if tag = 5 then put_varint buf (Cell_event.packed_grant_from1 packed);
-    e.en_last_var.(proc) <- var;
-    e.en_last_cell.(ctx) <- cell;
+    put_byte e (tag lor (pcode lsl 4) lor (ccode lsl 6));
+    if pcode = 2 then put_varint e proc;
+    put_varint e (zigzag (var - Array.unsafe_get e.en_last_var proc));
+    if ccode = 2 then put_varint e (zigzag d);
+    if tag = 5 then put_varint e ((packed lsr 20) land 0x1ff);
+    Array.unsafe_set e.en_last_var proc var;
+    Array.unsafe_set e.en_last_cell ctx cell;
     e.en_prev_proc <- proc
   | 6 ->
     (* steal: escape through the reserved compact-access lead byte *)
-    let thief = Cell_event.packed_proc packed in
-    let victim = Cell_event.packed_var packed in
-    let task = Cell_event.packed_cell packed in
+    let thief = (packed lsr 4) land 0xff in
+    let victim = (packed lsr 12) land 0xff in
+    let task = packed lsr 20 in
     if thief >= e.en_nprocs || victim >= e.en_nprocs then
       invalid_arg "Cell_trace: steal thief/victim exceeds the trace header";
-    Buffer.add_char buf '\xf6';
-    put_varint buf thief;
-    put_varint buf victim;
-    put_varint buf task;
+    put_byte e 0xf6;
+    put_varint e thief;
+    put_varint e victim;
+    put_varint e task;
     e.en_prev_proc <- thief
   | _ -> invalid_arg "Cell_trace: bad packed tag"
 
@@ -368,24 +385,47 @@ module Writer = struct
 
   let flush_block t =
     if t.in_block > 0 then begin
-      let payload = Buffer.contents t.enc.en_buf in
+      let e = t.enc in
       t.blocks_rev <- (pos_out t.oc, t.in_block) :: t.blocks_rev;
-      output_string t.oc payload;
+      output t.oc e.en_bytes 0 e.en_len;
       w64 t t.in_block;
-      w64 t (String.length payload);
-      w64 t (Fs_util.Crc32.of_string payload);
+      w64 t e.en_len;
+      (* the bytes are not written to while the CRC reads them *)
+      let payload = Bytes.unsafe_to_string e.en_bytes in
+      w64 t Fs_util.Crc32.(finish (string_sub start payload 0 e.en_len));
       t.in_block <- 0;
       enc_reset t.enc
     end
 
+  (* tag 3 is [Barrier_release] in [Cell_event]'s layout *)
   let push t packed =
     if t.finished then invalid_arg "Cell_trace.Writer.push: closed";
-    if Cell_event.packed_tag packed = Cell_event.tag_barrier_release then
-      t.epochs_rev <- t.total :: t.epochs_rev;
+    if packed land 7 = 3 then t.epochs_rev <- t.total :: t.epochs_rev;
     enc_event t.enc packed;
     t.in_block <- t.in_block + 1;
     t.total <- t.total + 1;
     if t.in_block >= t.block_events then flush_block t
+
+  (* [push] of [data.(0 .. n - 1)] in order, one block per pass: the
+     closed and block-full checks run once per block, not per event *)
+  let push_array t data n =
+    if t.finished then invalid_arg "Cell_trace.Writer.push: closed";
+    if n < 0 || n > Array.length data then invalid_arg "Cell_trace.Writer.push_array";
+    let i = ref 0 in
+    while !i < n do
+      let first = !i in
+      let stop = min n (first + t.block_events - t.in_block) in
+      let base = t.total - first in
+      for k = first to stop - 1 do
+        let packed = Array.unsafe_get data k in
+        if packed land 7 = 3 then t.epochs_rev <- (base + k) :: t.epochs_rev;
+        enc_event t.enc packed
+      done;
+      t.in_block <- t.in_block + (stop - first);
+      t.total <- t.total + (stop - first);
+      if t.in_block >= t.block_events then flush_block t;
+      i := stop
+    done
 
   let length t = t.total
   let recorder t = listener_of_push (push t)
@@ -438,10 +478,7 @@ end
 let write_file ?block_events t path =
   let w = Writer.create ?block_events ~vars:t.vars ~nprocs:t.nprocs path in
   match
-    let data = data t in
-    for i = 0 to t.len - 1 do
-      Writer.push w data.(i)
-    done;
+    Writer.push_array w (data t) t.len;
     Writer.close w
   with
   | () -> ()
@@ -450,31 +487,25 @@ let write_file ?block_events t path =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* Decoder, over the whole file as a memory-mapped byte bigarray.  All
-   scratch is per call, so concurrent decodes of different blocks of one
-   open stream are safe. *)
+(* Decoder, over bytes read from the file: the header and index at open,
+   then one block (payload and footer) at a time into a scratch buffer.
+   The file is read, not memory-mapped, so closing a stream releases it
+   at once; a mapping would stay resident until the GC collected it. *)
 
-type bigstring = Fs_util.Crc32.bigstring
-
-let[@inline] get_byte (map : bigstring) i =
-  Char.code (Bigarray.Array1.unsafe_get map i)
+(* callers keep [i] inside [s] *)
+let[@inline] get_byte s i = Char.code (String.unsafe_get s i)
 
 (* Unsigned LE 64-bit read as an OCaml int.  Well-formed files never
    carry values near 2^62; a corrupt huge value wraps negative and fails
    the range checks downstream. *)
-let get64 (map : bigstring) i =
-  let v = ref 0 in
-  for k = 7 downto 0 do
-    v := (!v lsl 8) lor get_byte map (i + k)
-  done;
-  !v
+let get64 s i = Int64.to_int (String.get_int64_le s i)
 
-let read_varint map pos limit ~block =
+let read_varint s pos limit ~block =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
     if !pos >= limit then corrupt "block %d: truncated varint" block;
     if !shift > 62 then corrupt "block %d: varint too long" block;
-    let b = get_byte map !pos in
+    let b = get_byte s !pos in
     incr pos;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -482,14 +513,34 @@ let read_varint map pos limit ~block =
   done;
   !v
 
+(* A varint whose first byte ends it, read without the general loop:
+   most deltas, procs and vars fit in 7 bits. *)
+let[@inline] varint s pos limit ~block =
+  let p = !pos in
+  if p < limit then begin
+    let b = get_byte s p in
+    if b < 0x80 then begin
+      pos := p + 1;
+      b
+    end
+    else read_varint s pos limit ~block
+  end
+  else read_varint s pos limit ~block
+
 (* Decode [count] events of the payload at [pos, pos + plen) into
    [dst.(dst_off ..)].  Every decoded field is range-checked before it is
    shifted into place, so data that defeats the CRC still cannot produce
-   packed events outside the event invariants.  The shifts write the bit
-   layout documented in [Cell_event] inline, as the replay walks read it:
-   a packer call per event would be a cross-module call the compiler
+   packed events outside the event invariants; the unchecked array reads
+   and writes below index only with a proc, var or slot already checked
+   against [nprocs], [nvars] or [dst].  The shifts write the bit layout
+   documented in [Cell_event] inline, as the replay walks read it: a
+   packer call per event would be a cross-module call the compiler
    cannot inline. *)
-let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
+let decode_payload s ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
+  if pos < 0 || plen < 0 || pos > String.length s - plen then
+    invalid_arg "Cell_trace.decode_payload: payload out of range";
+  if dst_off < 0 || count < 0 || dst_off > Array.length dst - count then
+    invalid_arg "Cell_trace.decode_payload: destination too small";
   let limit = pos + plen in
   let pos = ref pos in
   let last_var = Array.make (max 1 nprocs) 0 in
@@ -497,66 +548,66 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
   let last_cell = Array.make (max 1 (nprocs * nvars)) 0 in
   let prev_proc = ref 0 in
   for n = dst_off to dst_off + count - 1 do
-    if !pos >= limit then corrupt "block %d: truncated payload" block;
-    let b = get_byte map !pos in
-    incr pos;
+    let p = !pos in
+    if p >= limit then corrupt "block %d: truncated payload" block;
+    let b = get_byte s p in
+    pos := p + 1;
     let tag = b land 7 in
     if tag >= 6 then begin
       let q = b lsr 3 in
       if q = 30 then begin
         (* 0xF6: steal escape (0xFE stays reserved) *)
         if tag = 7 then corrupt "block %d: reserved proc code" block;
-        let thief = read_varint map pos limit ~block in
-        let victim = read_varint map pos limit ~block in
-        let task = read_varint map pos limit ~block in
+        let thief = varint s pos limit ~block in
+        let victim = varint s pos limit ~block in
+        let task = varint s pos limit ~block in
         if thief >= nprocs || victim >= nprocs then
           corrupt "block %d: steal proc out of range" block;
         if task > Cell_event.max_wide_cell then
           corrupt "block %d: task out of range" block;
-        dst.(n) <-
-          Cell_event.tag_steal lor (thief lsl 4) lor (victim lsl 12)
-          lor (task lsl 20);
+        Array.unsafe_set dst n
+          (6 lor (thief lsl 4) lor (victim lsl 12) lor (task lsl 20));
         prev_proc := thief
       end
       else begin
         (* compact access *)
         let proc =
-          if q = 31 then read_varint map pos limit ~block
-          else !prev_proc + unzigzag q
+          if q = 31 then varint s pos limit ~block else !prev_proc + unzigzag q
         in
         if proc < 0 || proc >= nprocs then
           corrupt "block %d: proc %d out of range" block proc;
-        let var = last_var.(proc) in
+        (* a proc's last var is 0 until a standard access sets it, so in a
+           trace without variables a compact access names none *)
+        let var = Array.unsafe_get last_var proc in
+        if var >= nvars then corrupt "block %d: var %d out of range" block var;
         let ctx = (proc * nvars) + var in
-        let cell = last_cell.(ctx) + 1 in
+        let cell = Array.unsafe_get last_cell ctx + 1 in
         if cell > Cell_event.max_wide_cell then
           corrupt "block %d: cell out of range" block;
-        dst.(n) <-
-          Cell_event.tag_access
-          lor ((tag - 6) lsl 3)
-          lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20);
-        last_cell.(ctx) <- cell;
+        Array.unsafe_set dst n
+          (((tag - 6) lsl 3) lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20));
+        Array.unsafe_set last_cell ctx cell;
         prev_proc := proc
       end
     end
     else if tag = 3 then begin
       if b <> 3 then corrupt "block %d: bad release lead byte" block;
-      dst.(n) <- Cell_event.tag_barrier_release
+      Array.unsafe_set dst n 3
     end
     else begin
       let proc =
         match (b lsr 4) land 3 with
         | 0 -> !prev_proc
         | 1 -> !prev_proc + 1
-        | 2 -> read_varint map pos limit ~block
+        | 2 -> varint s pos limit ~block
         | _ -> corrupt "block %d: reserved proc code" block
       in
       if proc < 0 || proc >= nprocs then
         corrupt "block %d: proc %d out of range" block proc;
       (match tag with
       | 0 | 4 | 5 ->
-        let dv = unzigzag (read_varint map pos limit ~block) in
-        let var = last_var.(proc) + dv in
+        let dv = unzigzag (varint s pos limit ~block) in
+        let var = Array.unsafe_get last_var proc + dv in
         if var < 0 || var >= nvars then
           corrupt "block %d: var %d out of range" block var;
         let ctx = (proc * nvars) + var in
@@ -564,52 +615,83 @@ let decode_payload map ~pos ~plen ~count ~block ~nprocs ~nvars dst dst_off =
           match b lsr 6 with
           | 0 -> 1
           | 1 -> 0
-          | 2 -> unzigzag (read_varint map pos limit ~block)
+          | 2 -> unzigzag (varint s pos limit ~block)
           | _ -> corrupt "block %d: reserved cell code" block
         in
-        let cell = last_cell.(ctx) + d in
+        let cell = Array.unsafe_get last_cell ctx + d in
         if cell < 0 then corrupt "block %d: cell out of range" block;
         (if tag = 5 then begin
-           let from1 = read_varint map pos limit ~block in
+           let from1 = varint s pos limit ~block in
            if from1 > Cell_event.max_proc + 1 then
              corrupt "block %d: bad lock source" block;
            if cell > Cell_event.max_cell then
              corrupt "block %d: cell out of range" block;
-           dst.(n) <-
-             Cell_event.tag_lock_grant lor (proc lsl 4) lor (var lsl 12)
-             lor (from1 lsl 20) lor (cell lsl 29)
+           Array.unsafe_set dst n
+             (5 lor (proc lsl 4) lor (var lsl 12) lor (from1 lsl 20)
+             lor (cell lsl 29))
          end
          else begin
            if cell > Cell_event.max_wide_cell then
              corrupt "block %d: cell out of range" block;
-           (* Access and Lock_wait share a layout; bit 3 of an access's
-              lead byte is its write flag *)
-           let write = if tag = Cell_event.tag_access then b land 8 else 0 in
-           dst.(n) <-
-             tag lor write lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20)
+           (* Access (tag 0) and Lock_wait (tag 4) share a layout; bit 3
+              of an access's lead byte is its write flag *)
+           let write = if tag = 0 then b land 8 else 0 in
+           Array.unsafe_set dst n
+             (tag lor write lor (proc lsl 4) lor (var lsl 12) lor (cell lsl 20))
          end);
-        last_var.(proc) <- var;
-        last_cell.(ctx) <- cell
+        Array.unsafe_set last_var proc var;
+        Array.unsafe_set last_cell ctx cell
       | 1 ->
         let amount =
           match b lsr 6 with
-          | 0 -> last_amount.(proc)
-          | 2 -> last_amount.(proc) + unzigzag (read_varint map pos limit ~block)
+          | 0 -> Array.unsafe_get last_amount proc
+          | 2 ->
+            Array.unsafe_get last_amount proc
+            + unzigzag (varint s pos limit ~block)
           | _ -> corrupt "block %d: reserved amount code" block
         in
         if amount < 0 || amount > Cell_event.max_amount then
           corrupt "block %d: amount out of range" block;
-        dst.(n) <- Cell_event.tag_work lor (proc lsl 4) lor (amount lsl 12);
-        last_amount.(proc) <- amount
+        Array.unsafe_set dst n (1 lor (proc lsl 4) lor (amount lsl 12));
+        Array.unsafe_set last_amount proc amount
       | 2 ->
         if b lsr 6 <> 0 then corrupt "block %d: bad arrive lead byte" block;
-        dst.(n) <- Cell_event.tag_barrier_arrive lor (proc lsl 4)
+        Array.unsafe_set dst n (2 lor (proc lsl 4))
       | _ -> assert false);
       prev_proc := proc
     end
   done;
   if !pos <> limit then
     corrupt "block %d: %d trailing payload bytes" block (limit - !pos)
+
+(* An open trace file: reads of one descriptor are serialized, so
+   distinct blocks can still be decoded from different domains. *)
+type source = { fd : Unix.file_descr; size : int; lock : Mutex.t }
+
+let open_source path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  match (Unix.fstat fd).Unix.st_size with
+  | size -> { fd; size; lock = Mutex.create () }
+  | exception e ->
+    Unix.close fd;
+    raise e
+
+(* [len] bytes of the file from [off] into [buf] *)
+let read_into src off buf len =
+  if off < 0 || len < 0 || off > src.size - len then corrupt "truncated trace";
+  Mutex.protect src.lock (fun () ->
+      ignore (Unix.lseek src.fd off Unix.SEEK_SET);
+      let k = ref 0 in
+      while !k < len do
+        match Unix.read src.fd buf !k (len - !k) with
+        | 0 -> corrupt "truncated trace"
+        | n -> k := !k + n
+      done)
+
+let read_string src off len =
+  let b = Bytes.create (max 0 len) in
+  read_into src off b len;
+  Bytes.unsafe_to_string b
 
 (* Parsed geometry: everything but the payloads, validated. *)
 type info = {
@@ -624,18 +706,14 @@ type info = {
   i_total : int;
 }
 
-let sub_string (map : bigstring) off n =
-  String.init n (fun k -> Bigarray.Array1.get map (off + k))
-
-let parse (map : bigstring) =
-  let l = Bigarray.Array1.dim map in
+let parse src =
+  let l = src.size in
   if l < 8 then corrupt "truncated trace";
-  if sub_string map 0 8 <> magic then corrupt "bad magic";
+  if read_string src 0 8 <> magic then corrupt "bad magic";
   if l < 8 + (3 * 8) + 24 then corrupt "truncated trace";
   let pos = ref 8 in
   let r64 () =
-    if !pos + 8 > l then corrupt "truncated trace";
-    let v = get64 map !pos in
+    let v = get64 (read_string src !pos 8) 0 in
     pos := !pos + 8;
     v
   in
@@ -648,8 +726,7 @@ let parse (map : bigstring) =
   for i = 0 to nvars - 1 do
     let n = r64 () in
     if n < 0 || n > 4096 then corrupt "bad name length %d" n;
-    if !pos + n > l then corrupt "truncated trace";
-    vars.(i) <- sub_string map !pos n;
+    vars.(i) <- read_string src !pos n;
     pos := !pos + n
   done;
   let block_events = r64 () in
@@ -657,24 +734,25 @@ let parse (map : bigstring) =
     corrupt "bad block size %d" block_events;
   let header_end = !pos in
   (* trailer *)
-  if sub_string map (l - 8) 8 <> magic_index then
+  let trailer = read_string src (l - 24) 24 in
+  if String.sub trailer 16 8 <> magic_index then
     corrupt "bad index trailer (truncated trace?)";
-  let index_off = get64 map (l - 24) in
-  let index_crc = get64 map (l - 16) in
+  let index_off = get64 trailer 0 in
+  let index_crc = get64 trailer 8 in
   if index_off < header_end || index_off > l - 24 then corrupt "bad index offset";
   let index_end = l - 24 in
-  if Fs_util.Crc32.of_bigstring_sub map index_off (index_end - index_off)
-     <> index_crc
-  then corrupt "index checksum mismatch";
-  pos := index_off;
+  let index = read_string src index_off (index_end - index_off) in
+  if Fs_util.Crc32.of_string index <> index_crc then
+    corrupt "index checksum mismatch";
+  pos := 0;
   let r64i () =
-    if !pos + 8 > index_end then corrupt "truncated index";
-    let v = get64 map !pos in
+    if !pos + 8 > String.length index then corrupt "truncated index";
+    let v = get64 index !pos in
     pos := !pos + 8;
     v
   in
   let nblocks = r64i () in
-  if nblocks < 0 || nblocks > (index_end - index_off) / 16 then
+  if nblocks < 0 || nblocks > String.length index / 16 then
     corrupt "bad block count %d" nblocks;
   let offsets = Array.make nblocks 0 in
   let counts = Array.make nblocks 0 in
@@ -683,14 +761,14 @@ let parse (map : bigstring) =
     counts.(k) <- r64i ()
   done;
   let nepochs = r64i () in
-  if nepochs < 0 || nepochs > (index_end - index_off) / 8 then
+  if nepochs < 0 || nepochs > String.length index / 8 then
     corrupt "bad epoch count %d" nepochs;
   let epochs = Array.make nepochs 0 in
   for k = 0 to nepochs - 1 do
     epochs.(k) <- r64i ()
   done;
   let total = r64i () in
-  if !pos <> index_end then corrupt "index has trailing bytes";
+  if !pos <> String.length index then corrupt "index has trailing bytes";
   if total < 0 then corrupt "bad event count %d" total;
   let lens = Array.make nblocks 0 in
   let starts = Array.make nblocks 0 in
@@ -731,46 +809,23 @@ let parse (map : bigstring) =
     i_total = total;
   }
 
-(* Verify one block's footer + CRC against the index, then decode its
-   payload into [dst] at [dst_off].  Raises [Corrupt] naming the block. *)
-let decode_into (map : bigstring) info k dst dst_off =
-  let off = info.i_offsets.(k) in
+(* Read block [k] (payload and footer) into [scratch], grown as needed,
+   verify the footer against the index and the payload's CRC, then decode
+   the payload into [dst] at [dst_off].  Raises [Corrupt] naming the
+   block. *)
+let decode_into src info scratch k dst dst_off =
   let plen = info.i_lens.(k) in
   let count = info.i_counts.(k) in
-  let fpos = off + plen in
-  if get64 map fpos <> count || get64 map (fpos + 8) <> plen then
+  if Bytes.length !scratch < plen + 24 then scratch := Bytes.create (plen + 24);
+  read_into src info.i_offsets.(k) !scratch (plen + 24);
+  (* not written to again while this string is in use *)
+  let b = Bytes.unsafe_to_string !scratch in
+  if get64 b plen <> count || get64 b (plen + 8) <> plen then
     corrupt "block %d: footer disagrees with index" k;
-  if Fs_util.Crc32.of_bigstring_sub map off plen <> get64 map (fpos + 16) then
+  if Fs_util.Crc32.(finish (string_sub start b 0 plen)) <> get64 b (plen + 16) then
     corrupt "block %d: checksum mismatch" k;
-  decode_payload map ~pos:off ~plen ~count ~block:k ~nprocs:info.i_nprocs
+  decode_payload b ~pos:0 ~plen ~count ~block:k ~nprocs:info.i_nprocs
     ~nvars:(Array.length info.i_vars) dst dst_off
-
-let map_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file (Unix.descr_of_in_channel ic) Bigarray.char
-           Bigarray.c_layout false [| in_channel_length ic |]))
-
-let read_file path =
-  let map = map_whole_file path in
-  let info = parse map in
-  let data = Array.make info.i_total 0 in
-  for k = 0 to Array.length info.i_offsets - 1 do
-    decode_into map info k data info.i_starts.(k)
-  done;
-  {
-    vars = info.i_vars;
-    ids = id_table info.i_vars;
-    nprocs = info.i_nprocs;
-    chunks = [];
-    cur = data;
-    pos = info.i_total;
-    len = info.i_total;
-    joined = data;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Streaming reader: a sequence of blocks, each CRC-checked and decoded
@@ -778,28 +833,37 @@ let read_file path =
    size however long the trace. *)
 
 module Stream = struct
-  type nonrec t = { map : bigstring; info : info; mutable closed : bool }
+  type nonrec t = { src : source; info : info; mutable closed : bool }
 
   let open_file path =
-    let map = map_whole_file path in
-    { map; info = parse map; closed = false }
+    let src = open_source path in
+    match parse src with
+    | info -> { src; info; closed = false }
+    | exception e ->
+      Unix.close src.fd;
+      raise e
 
   let vars t = t.info.i_vars
   let nprocs t = t.info.i_nprocs
   let length t = t.info.i_total
-  let byte_size t = Bigarray.Array1.dim t.map
+  let byte_size t = t.src.size
   let nblocks t = Array.length t.info.i_offsets
   let max_block_events t = max 1 t.info.i_block_events
   let epochs t = Array.copy t.info.i_epochs
 
-  let decode_block t k buf =
-    if t.closed then invalid_arg "Cell_trace.Stream.decode_block: closed";
+  let check_block what t k buf =
+    if t.closed then invalid_arg ("Cell_trace.Stream." ^ what ^ ": closed");
     if k < 0 || k >= nblocks t then
       invalid_arg "Cell_trace.Stream.decode_block: block out of range";
     let n = t.info.i_counts.(k) in
     if Array.length buf < n then
       invalid_arg "Cell_trace.Stream.decode_block: buffer too small";
-    decode_into t.map t.info k buf 0;
+    n
+
+  (* scratch per call, so calls from different domains do not share it *)
+  let decode_block t k buf =
+    let n = check_block "decode_block" t k buf in
+    decode_into t.src t.info (ref Bytes.empty) k buf 0;
     n
 
   let iter_chunks f t =
@@ -807,16 +871,41 @@ module Stream = struct
     let nb = nblocks t in
     if nb > 0 then begin
       let buf = Array.make (max_block_events t) 0 in
+      let scratch = ref Bytes.empty in
       for k = 0 to nb - 1 do
-        let n = decode_block t k buf in
+        let n = check_block "iter_chunks" t k buf in
+        decode_into t.src t.info scratch k buf 0;
         f buf n
       done
     end
 
-  (* the mapping itself is released when the bigarray is collected;
-     [close] only fences further iteration so a use-after-close is an
-     error instead of a silent read *)
-  let close t = t.closed <- true
+  let close t =
+    if not t.closed then begin
+      t.closed <- true;
+      Unix.close t.src.fd
+    end
 end
 
 let of_file_stream = Stream.open_file
+
+let read_file path =
+  let s = Stream.open_file path in
+  Fun.protect
+    ~finally:(fun () -> Stream.close s)
+    (fun () ->
+      let info = s.Stream.info in
+      let data = Array.make info.i_total 0 in
+      let scratch = ref Bytes.empty in
+      Array.iteri
+        (fun k start -> decode_into s.Stream.src info scratch k data start)
+        info.i_starts;
+      {
+        vars = info.i_vars;
+        ids = id_table info.i_vars;
+        nprocs = info.i_nprocs;
+        chunks = [];
+        cur = data;
+        pos = info.i_total;
+        len = info.i_total;
+        joined = data;
+      })

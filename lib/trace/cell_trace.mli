@@ -67,7 +67,7 @@ val write_file : ?block_events:int -> t -> string -> unit
     header, or on a bad [block_events]. *)
 
 val read_file : string -> t
-(** @raise Corrupt on malformed input, [Sys_error] on IO failure. *)
+(** @raise Corrupt on malformed input, [Unix.Unix_error] on IO failure. *)
 
 (** {1 Streaming capture}
 
@@ -114,15 +114,17 @@ end
 
     For traces too large to hold in memory: a sequence of blocks, each
     decoded on demand into a caller buffer, so peak heap is bounded by
-    the block size however long the trace.  Each block is CRC-checked
-    against its footer and located through the trailing index; the
-    header and index geometry are validated eagerly at open time. *)
+    the block size however long the trace.  Each block is read from the
+    file when it is decoded, CRC-checked against its footer and located
+    through the trailing index; the header and index geometry are
+    validated eagerly at open time.  A stream holds the file open until
+    {!Stream.close}. *)
 
 module Stream : sig
   type t
 
   val open_file : string -> t
-  (** @raise Corrupt on malformed or truncated input, [Sys_error] /
+  (** @raise Corrupt on malformed or truncated input,
       [Unix.Unix_error] on IO failure. *)
 
   val vars : t -> string array
@@ -162,8 +164,8 @@ module Stream : sig
       calls. *)
 
   val close : t -> unit
-  (** Fence further iteration ([iter_chunks] / [decode_block] then raise
-      [Invalid_argument]); the mapping itself is reclaimed by the GC. *)
+  (** Close the file.  Further iteration ([iter_chunks] /
+      [decode_block]) raises [Invalid_argument].  Idempotent. *)
 end
 
 val of_file_stream : string -> Stream.t

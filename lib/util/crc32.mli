@@ -16,10 +16,16 @@ val byte : int -> int -> int
 (** [byte crc b] folds the byte [b] (low 8 bits) into a running crc. *)
 
 val string_sub : int -> string -> int -> int -> int
+(** [string_sub crc s pos len] folds [len] bytes of [s] from [pos],
+    eight bytes per step (slicing by 8) with a bytewise tail; the result
+    equals folding each byte with {!byte}.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
 val bigstring_sub : int -> bigstring -> int -> int -> int
+(** As {!string_sub}, over a bigarray. *)
 
 val of_string : string -> int
 (** One-shot checksum of a whole string. *)
 
 val of_bigstring_sub : bigstring -> int -> int -> int
-(** One-shot checksum of [len] bytes of a mapped region from [pos]. *)
+(** One-shot checksum of [len] bytes of a bigarray from [pos]. *)

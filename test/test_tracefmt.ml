@@ -187,6 +187,126 @@ let test_index_crc () =
   ignore
     (expect_corrupt "damaged index" (fun () -> Ct.of_file_stream path))
 
+(* A compact access (lead byte tag 6/7) reuses its proc's last var, 0
+   until a standard access sets one, so in a trace that declares no
+   variables it names a var that does not exist.  The crafted file is
+   otherwise well formed: nprocs 2, nvars 0, one block holding the single
+   byte 0x16 (compact read, proc delta +1), valid block and index CRCs. *)
+let no_vars_file () =
+  let u64s vs =
+    String.concat ""
+      (List.map
+         (fun v ->
+           let b = Bytes.create 8 in
+           Bytes.set_int64_le b 0 (Int64.of_int v);
+           Bytes.to_string b)
+         vs)
+  in
+  let payload = "\x16" in
+  let head = "FSTRACE2" ^ u64s [ 2; 0; 1 ] in
+  let block =
+    payload ^ u64s [ 1; String.length payload; Fs_util.Crc32.of_string payload ]
+  in
+  let index = u64s [ 1; String.length head; 1; 0; 1 ] in
+  let index_off = String.length head + String.length block in
+  head ^ block ^ index
+  ^ u64s [ index_off; Fs_util.Crc32.of_string index ]
+  ^ "FSTRIDX2"
+
+let test_compact_access_without_vars () =
+  with_tmp "novars" @@ fun path ->
+  write_all path (no_vars_file ());
+  let msg = expect_corrupt "read_file" (fun () -> Ct.read_file path) in
+  Alcotest.(check string) "names the var" "block 0: var 0 out of range" msg;
+  let s = Ct.of_file_stream path in
+  let buf = Array.make (Ct.Stream.max_block_events s) 0 in
+  ignore
+    (expect_corrupt "decode_block" (fun () -> Ct.Stream.decode_block s 0 buf));
+  Ct.Stream.close s
+
+(* ------------------------------------------------------------------ *)
+(* The bytes on disk are pinned: (file length, CRC-32 of the whole
+   file) of [write_file] at the default block size for the 14 workloads
+   at scale 1 (Figure 3 processor counts, sched seed 1 for the dynamic
+   four), and the streaming [Writer.recorder] path writes the same bytes
+   as [write_file] of the in-memory recording, at the default block size
+   and at 1000 events per block.                                       *)
+
+module Interp = Fs_interp.Interp
+module Sched = Fs_sched.Sched
+
+let pinned_files : (string * int * int) list =
+  [ ("maxflow", 98393, 0x8600dccc);
+    ("pverify", 56778, 0xcd11c10f);
+    ("topopt", 10977, 0xffc5b15b);
+    ("fmm", 124543, 0x36ab406f);
+    ("radiosity", 46424, 0xb4b83680);
+    ("raytrace", 258036, 0x87ff16c5);
+    ("locusroute", 48302, 0xd55c18ba);
+    ("mp3d", 24325, 0x7d7198ad);
+    ("pthor", 27646, 0x85d947cb);
+    ("water", 106751, 0x751740ca);
+    ("fib", 2754, 0xe1042d8f);
+    ("taskbag", 9668, 0x577e5688);
+    ("stencil", 8677, 0x4fca19e2);
+    ("dstress", 4895, 0x5e1173d0) ]
+
+let scale1 (w : W.t) =
+  let nprocs = w.fig3_procs in
+  let sched = if w.dynamic then Some (Sched.seeded 1) else None in
+  (w.build ~nprocs ~scale:1, nprocs, sched)
+
+let file_bytes write =
+  with_tmp "pin" @@ fun path ->
+  write path;
+  read_all path
+
+let test_pinned_files () =
+  let measured =
+    List.map
+      (fun (w : W.t) ->
+        let prog, nprocs, sched = scale1 w in
+        let trace = fst (Interp.record ?sched prog ~nprocs) in
+        let s = file_bytes (Ct.write_file trace) in
+        (w.name, String.length s, Fs_util.Crc32.of_string s))
+      Ws.every
+  in
+  if measured <> pinned_files then
+    Alcotest.fail
+      (String.concat ""
+         ("trace file bytes moved; measured table:\n"
+          :: List.map
+               (fun (l, n, c) -> Printf.sprintf "    (%S, %d, 0x%08x);\n" l n c)
+               measured))
+
+let test_recorder_matches_write_file () =
+  List.iter
+    (fun (w : W.t) ->
+      let prog, nprocs, sched = scale1 w in
+      let trace = fst (Interp.record ?sched prog ~nprocs) in
+      List.iter
+        (fun block_events ->
+          let whole = file_bytes (Ct.write_file ?block_events trace) in
+          let streamed =
+            file_bytes (fun path ->
+                let wr =
+                  Ct.Writer.create ?block_events ~vars:(Interp.vars prog)
+                    ~nprocs path
+                in
+                ignore
+                  (Interp.run_cells ?sched prog ~nprocs
+                     ~cells:(Ct.Writer.recorder wr));
+                Ct.Writer.close wr)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (block_events %s)" w.name
+               (match block_events with
+                | None -> "default"
+                | Some n -> string_of_int n))
+            true (whole = streamed))
+        [ None; Some 1000 ])
+    Ws.every
+
 (* ------------------------------------------------------------------ *)
 (* Atomic writes: a write that fails part-way leaves neither the target
    nor its temp file behind.                                           *)
@@ -215,4 +335,10 @@ let suite =
     Alcotest.test_case "v2 index damage refused at open" `Quick test_index_crc;
     Alcotest.test_case "failed write leaves no file behind" `Quick
       test_failed_write_leaves_nothing;
+    Alcotest.test_case "compact access in a trace without variables refused"
+      `Quick test_compact_access_without_vars;
+    Alcotest.test_case "v2 file bytes pinned (14 workloads, scale 1)" `Quick
+      test_pinned_files;
+    Alcotest.test_case "streaming recorder writes the write_file bytes" `Quick
+      test_recorder_matches_write_file;
     QCheck_alcotest.to_alcotest prop_roundtrip ]

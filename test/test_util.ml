@@ -175,6 +175,41 @@ let test_sha256_streaming () =
         expect (Fs_util.Sha256.hex ctx))
     [ 1; 3; 55; 64; 65; 997 ]
 
+module Crc32 = Fs_util.Crc32
+
+let test_crc32_known_answer () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.of_string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.of_string "")
+
+(* the sliced 8-byte loop and its bytewise tail against a fold of [byte],
+   for every offset and length 0-64 drawn over random data and a random
+   running register *)
+let test_crc32_sliced_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      string_size (int_range 0 80) >>= fun s ->
+      int_range 0 (String.length s) >>= fun pos ->
+      int_range 0 (min 64 (String.length s - pos)) >>= fun len ->
+      int_range 0 0xffffffff >|= fun crc -> (s, pos, len, crc))
+  in
+  QCheck.Test.make ~name:"crc32 sliced string_sub/bigstring_sub = byte fold"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len, crc) ->
+         Printf.sprintf "%S pos %d len %d crc 0x%x" s pos len crc)
+       gen)
+    (fun (s, pos, len, crc) ->
+      let expect = ref crc in
+      for i = pos to pos + len - 1 do
+        expect := Crc32.byte !expect (Char.code s.[i])
+      done;
+      let b =
+        Bigarray.Array1.init Bigarray.char Bigarray.c_layout (String.length s)
+          (String.get s)
+      in
+      Crc32.string_sub crc s pos len = !expect
+      && Crc32.bigstring_sub crc b pos len = !expect)
+
 let suite =
   [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
@@ -192,4 +227,6 @@ let suite =
     Alcotest.test_case "table ragged" `Quick test_table_ragged;
     Alcotest.test_case "table formats" `Quick test_table_formats;
     Alcotest.test_case "stats" `Quick test_stats;
-    Alcotest.test_case "default_jobs env override" `Quick test_default_jobs_env ]
+    Alcotest.test_case "default_jobs env override" `Quick test_default_jobs_env;
+    Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+    QCheck_alcotest.to_alcotest test_crc32_sliced_matches_bytewise ]

@@ -187,15 +187,15 @@ let replay_bench ~jobs () =
 (* ------------------------------------------------------------------ *)
 (* The simulator hot path, three ways over the same recorded trace:
    the engine the flat-array rewrite replaced (bench/legacy_cache.ml:
-   hashtables + int-list LRU sets, driven through the listener path),
-   the live flat-array engine on the same listener path, and the fused
-   packed-replay loop, in memory and streamed from a v2 file.  legacy ->
-   fused is the rewrite's total win; reference -> fused isolates the
-   per-event unpack + dispatch + outcome-boxing cost the fused loop
-   removes; fused -> streamed is the cost of decoding.                 *)
+   hashtables + int-list LRU sets, fed through the engine's listener
+   body as a sink), the live flat-array engine through the same sink,
+   and the fused packed-replay loop, in memory and streamed from a v2
+   file.  legacy -> fused is the rewrite's total win; reference -> fused
+   isolates the per-event listener dispatch the cache bodies skip;
+   fused -> streamed is the cost of decoding.                          *)
 
 let simspeed () =
-  section "Simulator hot path - fused packed replay vs listener paths \
+  section "Simulator hot path - fused packed replay vs listener sinks \
            (pverify, unoptimized, 128B)";
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
@@ -277,12 +277,12 @@ let simspeed () =
     else 0.
   in
   Printf.printf
-    "pre-rewrite engine, listener path: %.3fs  (%.1f Mevents/s)\n\
-     flat-array engine, listener path:  %.3fs  (%.1f Mevents/s)\n\
+    "pre-rewrite engine, listener sink: %.3fs  (%.1f Mevents/s)\n\
+     flat-array engine, listener sink:  %.3fs  (%.1f Mevents/s)\n\
      flat-array engine, fused loop:     %.3fs  (%.1f Mevents/s)\n\
      fused loop, streamed v2 file:      %.3fs  (%.1f Mevents/s, %.1f MB/s \
      read)\n\
-     fused vs pre-rewrite: %.2fx | fused vs listener path: %.2fx \
+     fused vs pre-rewrite: %.2fx | fused vs listener sink: %.2fx \
      (%d events x%d, identical counts)\n"
     t_legacy (rate t_legacy) t_ref (rate t_ref) t_fused (rate t_fused)
     t_stream (rate t_stream) mbs
@@ -705,6 +705,29 @@ let codec_ratio () =
   |> ratio_gate ~name:"codec-ratio" ~what:"write_file + simulate_stream"
        ~floor:codec_ratio_floor ~events ~layer_key:"codec_seconds"
 
+(* The KSR2 model ([Sim.machine_sim ~recorded], on the engine's machine
+   body) must keep within this fraction of an untracked fused replay's
+   events/s, at the model's 128-byte block.  On a 2-core x86-64
+   container, 10 runs of each side: 0.80-0.86 on the machine body,
+   0.38-0.42 with the model on the listener path it replaced. *)
+let machine_ratio_floor = 0.6
+
+let machine_ratio () =
+  section "KSR2 model vs fused engine (pverify, compiler plan, 128B)";
+  let prog, nprocs = ratio_program () in
+  let recorded = Sim.record prog ~nprocs in
+  let events = Ct.length recorded.Sim.trace in
+  let plan = (T.plan prog ~nprocs).T.plan in
+  let block = (Fs_machine.Ksr.default_config ~nprocs).Fs_machine.Ksr.block in
+  let layout = Layout.realize prog plan ~block in
+  let machine () =
+    snd (time_it (fun () -> Sim.machine_sim ~recorded prog plan ~nprocs))
+  in
+  paired_ratio ~layer:machine
+    ~fused:(untracked_replay_seconds recorded.Sim.trace ~layout ~nprocs ~block)
+  |> ratio_gate ~name:"machine-ratio" ~what:"Sim.machine_sim"
+       ~floor:machine_ratio_floor ~events ~layer_key:"machine_seconds"
+
 (* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                 *)
 
@@ -803,7 +826,7 @@ let stealing_bench ~jobs () =
   Printf.printf "(%.1fs; wrote stealing_ncpf.json)\n" dt
 
 (* ------------------------------------------------------------------ *)
-(* Phase-resolved sharing: per-epoch profiles + tracking overhead      *)
+(* Phase-resolved sharing: per-epoch profiles                          *)
 
 let phases_bench () =
   section "Per-epoch sharing profile (pverify and topopt, unoptimized, 128B)";
@@ -822,50 +845,7 @@ let phases_bench () =
       [ "pverify"; "topopt" ]
   in
   record "phases" ~seconds:(Unix.gettimeofday () -. t0)
-    (Json.Obj payloads);
-  (* epoch + line tracking is opt-in; measure what turning it on costs a
-     replay of the same recorded trace (separate section: timings are
-     machine-dependent, so `check` must not compare them) *)
-  let w = Ws.find "pverify" in
-  let nprocs = w.W.fig3_procs in
-  let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-  let recorded = Sim.record prog ~nprocs in
-  let layout = Layout.default prog ~block:128 in
-  let reps = 5 in
-  let _, plain =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          let cache = C.create (C.default_config ~nprocs ~block:128) in
-          Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-            ~sink:(C.sink cache)
-        done)
-  in
-  let _, tracked =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          let cache =
-            C.create ~track_lines:true (C.default_config ~nprocs ~block:128)
-          in
-          let tracker, close = Falseshare.Phases.tracker cache in
-          Fs_replay.Replay.replay recorded.Sim.trace ~layout
-            ~listener:
-              (Fs_trace.Listener.combine
-                 (Fs_trace.Listener.of_sink (C.sink cache))
-                 tracker);
-          ignore (close ())
-        done)
-  in
-  let ratio = if plain > 0. then tracked /. plain else 1.0 in
-  Printf.printf
-    "tracking overhead (pverify replay x%d): plain %.3fs, epoch+line \
-     tracking %.3fs (%.2fx)\n"
-    reps plain tracked ratio;
-  record "tracking_overhead" ~seconds:(plain +. tracked)
-    (Json.Obj
-       [ ("reps", Json.Int reps);
-         ("plain_seconds", Json.float plain);
-         ("tracked_seconds", Json.float tracked);
-         ("ratio", Json.float ratio) ])
+    (Json.Obj payloads)
 
 (* ------------------------------------------------------------------ *)
 (* The replay engine: deterministic bit-identity + epoch reconciliation.
@@ -874,7 +854,7 @@ let phases_bench () =
    compares it bit for bit.                                            *)
 
 let engine_bench () =
-  section "Replay engine - bit-identity vs the listener path, in memory \
+  section "Replay engine - bit-identity vs the listener body, in memory \
            and streamed (pverify and topopt, unoptimized, 16B and 128B)";
   let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
@@ -908,7 +888,7 @@ let engine_bench () =
               let s = R.simulate recorded.Sim.trace ~layout ~cache:(cache ()) in
               let identical = s.R.counts = reference in
               let esum = C.zero_counts () in
-              Array.iter (fun e -> C.add_into esum e) s.R.epochs;
+              Array.iter (Array.iter (C.add_into esum)) s.R.epochs;
               let epochs_sum_ok = esum = s.R.counts in
               let streamed, stream_s =
                 time_it (fun () ->
@@ -1031,8 +1011,9 @@ let serve_bench ~quick ~jobs () =
 (* sections whose payloads are wall-clock measurements, not
    deterministic experiment data *)
 let nondeterministic =
-  [ "micro"; "replay"; "tracking_overhead"; "simspeed"; "telemetry-overhead";
-    "serve"; "tracescale"; "pipeline-ratio"; "interp-ratio"; "codec-ratio" ]
+  [ "micro"; "replay"; "simspeed"; "telemetry-overhead";
+    "serve"; "tracescale"; "pipeline-ratio"; "interp-ratio"; "codec-ratio";
+    "machine-ratio" ]
 
 let baseline_path () =
   if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
@@ -1267,7 +1248,8 @@ let () =
     if all || pick = "check" || pick = "ratio" then
       let pipeline = pipeline_ratio () in
       let interp = interp_ratio () in
-      [ pipeline; interp; codec_ratio () ]
+      let codec = codec_ratio () in
+      [ pipeline; interp; codec; machine_ratio () ]
     else []
   in
   write_results ~quick ~jobs ~seconds:(Unix.gettimeofday () -. t0);

@@ -565,10 +565,10 @@ let timeline_cmd =
       L.combine
         (Fs_obs.Timeline.listener tl)
         (L.combine
-           (L.of_sink (C.sink cache))
+           (L.of_sink (C.touch cache))
            { L.null with barrier_release = push_counters })
     in
-    Fs_replay.Replay.replay recorded.Sim.trace ~layout ~listener;
+    Fs_replay.Replay.drive recorded.Sim.trace ~layout ~listener;
     push_counters ();
     match out with
     | Some "-" -> print_json (Fs_obs.Timeline.to_json tl)

@@ -146,13 +146,22 @@ val config : t -> config
 val access : t -> proc:int -> write:bool -> addr:int -> outcome
 (** Simulate one reference. *)
 
+val access_raw : t -> proc:int -> write:bool -> addr:int -> int
+(** Exactly {!access}, with the outcome packed into an int so that no
+    reference allocates: bits 0-2 are 0 for [Hit], 1 for [Upgrade] and
+    2-5 for a [Miss] (of kind [Cold], [Replacement], [True_sharing],
+    [False_sharing] in that order); bits 3-11 hold [provider + 1] of a
+    miss; bits 12 and up the [invalidated] count. *)
+
 val touch : t -> proc:int -> write:bool -> addr:int -> unit
 (** Exactly {!access} minus the boxed [outcome] — the entry point of the
     fused replay loop, which needs the counters but not the per-reference
     result.  Allocation-free when no tracking flag is on. *)
 
 val sink : t -> Fs_trace.Sink.t
-(** Feed the simulator from an interpreter run, ignoring outcomes. *)
+(** {!touch} as a sink.  Kept for the repo benchmark ([perfbench/]),
+    its only caller in the program; library code feeds caches through
+    the replay engine. *)
 
 val counts : t -> counts
 (** Live totals (the record is the simulator's own accumulator). *)

@@ -1,6 +1,5 @@
 module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
-module Interp = Fs_interp.Interp
 
 type row = { var : string; counts : Mpcache.counts; blocks : int }
 
@@ -52,16 +51,18 @@ let cell_range prog layout ~block var blk =
       vl.Layout.addr;
     if !hi < 0 then (-1, -1) else (!lo, !hi)
 
-let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched prog plan ~nprocs
-    ~block =
+let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched ?recorded prog
+    plan ~nprocs ~block =
+  let recorded =
+    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
+  in
   let layout = Layout.realize prog plan ~block in
   let cache =
     Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
-  let _ =
-    Interp.run_to_sink ?sched prog ~nprocs ~layout ~sink:(Mpcache.sink cache)
-  in
+  ignore (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
+          : Fs_replay.Replay.run);
   let dominant = block_owner prog layout ~block in
   let per_var : (string, Mpcache.counts * int ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter

@@ -43,12 +43,15 @@ val attribute :
   ?cache_bytes:int ->
   ?assoc:int ->
   ?sched:Fs_sched.Sched.config ->
+  ?recorded:Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   row list
-(** Rows sorted by false-sharing misses, heaviest first.  A block shared
+(** Replay (recording a fresh execution when [recorded] is omitted)
+    into a block-tracking cache.  Rows sorted by false-sharing misses,
+    heaviest first.  A block shared
     by several variables (the packed default layout) is attributed to the
     variable owning the most cells in it. *)
 

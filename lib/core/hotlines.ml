@@ -90,8 +90,8 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
       ~max_addr:(Layout.size layout)
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
-  Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-    ~sink:(Mpcache.sink cache);
+  ignore (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
+          : Fs_replay.Replay.run);
   let owner = Attribution.block_owner prog layout ~block in
   let cell_range = Attribution.cell_range prog layout ~block in
   let per_block = Mpcache.per_block cache in

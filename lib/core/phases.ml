@@ -1,8 +1,7 @@
 module Mpcache = Fs_cache.Mpcache
 module Layout = Fs_layout.Layout
 module Cell_trace = Fs_trace.Cell_trace
-module Cell_listener = Fs_trace.Cell_listener
-module Listener = Fs_trace.Listener
+module Cell_event = Fs_trace.Cell_event
 module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Table = Fs_util.Table
@@ -40,43 +39,35 @@ let proc_mask_list mask =
   go 0 []
 
 (* ------------------------------------------------------------------ *)
-(* Segmentation: snapshot the cache's per-processor counters at every
-   barrier release; each epoch is the delta since the previous one.     *)
+(* Write-sharing per epoch, cut at the same barrier releases as the
+   replay engine's epochs: variables written by >= 2 processors.       *)
 
-type seg = {
-  cache : Mpcache.t;
-  mutable prev : Mpcache.counts array;  (* snapshot at the last release *)
-  mutable acc : epoch list;             (* closed epochs, reversed *)
-  mutable next : int;
-}
-
-let seg_create cache =
-  {
-    cache;
-    prev = Array.map Mpcache.copy_counts (Mpcache.proc_counts cache);
-    acc = [];
-    next = 0;
-  }
-
-let seg_close seg ~write_shared =
-  let now = Array.map Mpcache.copy_counts (Mpcache.proc_counts seg.cache) in
-  let per_proc = Array.map2 Mpcache.sub_counts now seg.prev in
-  seg.acc <- { index = seg.next; per_proc; write_shared } :: seg.acc;
-  seg.prev <- now;
-  seg.next <- seg.next + 1
-
-let seg_finish seg ~write_shared =
-  (* the tail of the run after the last barrier is an epoch of its own *)
-  seg_close seg ~write_shared;
-  List.rev seg.acc
-
-let tracker cache =
-  let seg = seg_create cache in
-  let listener =
-    { Listener.null with
-      barrier_release = (fun () -> seg_close seg ~write_shared:[]) }
+let write_shared_per_epoch trace =
+  let vars = Cell_trace.vars trace in
+  let masks = Array.make (Array.length vars) 0 in
+  let closed = ref [] in
+  let close () =
+    let acc = ref [] in
+    Array.iteri
+      (fun v mask ->
+        if mask land (mask - 1) <> 0 then acc := (vars.(v), mask) :: !acc)
+      masks;
+    closed := List.sort compare !acc :: !closed;
+    Array.fill masks 0 (Array.length masks) 0
   in
-  (listener, fun () -> seg_finish seg ~write_shared:[])
+  Cell_trace.iter_packed
+    (fun packed ->
+      if Cell_event.packed_is_access packed && Cell_event.packed_write packed
+      then begin
+        let var = Cell_event.packed_var packed in
+        masks.(var) <- masks.(var) lor (1 lsl Cell_event.packed_proc packed)
+      end
+      else if Cell_event.packed_tag packed = Cell_event.tag_barrier_release
+      then close ())
+    trace;
+  (* the tail of the run after the last barrier is an epoch of its own *)
+  close ();
+  Array.of_list (List.rev !closed)
 
 (* ------------------------------------------------------------------ *)
 (* The static prediction: per phase, which variables does the summary
@@ -167,37 +158,16 @@ let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched ?recorded prog plan
       { Mpcache.nprocs; block; cache_bytes; assoc }
   in
   let trace = recorded.Sim.trace in
-  let vars = Cell_trace.vars trace in
-  let o = Fs_replay.Replay.oracle layout ~vars in
-  let translated =
-    Fs_replay.Replay.translating o (Listener.of_sink (Mpcache.sink cache))
+  let run = Fs_replay.Replay.simulate trace ~layout ~cache in
+  let shared = write_shared_per_epoch trace in
+  let epochs =
+    Array.to_list
+      (Array.mapi
+         (fun index per_proc ->
+           { index; per_proc; write_shared = shared.(index) })
+         run.Fs_replay.Replay.epochs)
   in
-  let seg = seg_create cache in
-  (* per-variable writer bitmask, reset at each epoch boundary *)
-  let writer_masks = Array.make (Array.length vars) 0 in
-  let write_shared_now () =
-    let acc = ref [] in
-    Array.iteri
-      (fun v mask ->
-        if mask land (mask - 1) <> 0 then acc := (vars.(v), mask) :: !acc)
-      writer_masks;
-    List.sort compare !acc
-  in
-  let tap =
-    { Cell_listener.null with
-      access =
-        (fun ~proc ~write ~var ~cell:_ ->
-          if write then
-            writer_masks.(var) <- writer_masks.(var) lor (1 lsl proc));
-      barrier_release =
-        (fun () ->
-          seg_close seg ~write_shared:(write_shared_now ());
-          Array.fill writer_masks 0 (Array.length writer_masks) 0);
-    }
-  in
-  Cell_trace.deliver trace (Cell_listener.combine translated tap);
-  let epochs = seg_finish seg ~write_shared:(write_shared_now ()) in
-  let aggregate = Mpcache.copy_counts (Mpcache.counts cache) in
+  let aggregate = Mpcache.copy_counts run.Fs_replay.Replay.counts in
   let static_phases, mapping, violations = cross_check prog ~nprocs epochs in
   { nprocs; block; epochs; aggregate; static_phases; mapping; violations }
 

@@ -35,8 +35,7 @@ type epoch = {
       (** this epoch's counter deltas, one per processor *)
   write_shared : (string * int) list;
       (** variables written by >= 2 processors within the epoch, with the
-          bitmask of writing processors; empty for address-level
-          segmentation (see {!tracker}) *)
+          bitmask of writing processors *)
 }
 
 type violation = {
@@ -66,15 +65,6 @@ val epoch_total : epoch -> Fs_cache.Mpcache.counts
 val proc_mask_list : int -> int list
 (** The set bits of a processor bitmask, ascending. *)
 
-val tracker :
-  Fs_cache.Mpcache.t ->
-  Fs_trace.Listener.t * (unit -> epoch list)
-(** The reusable address-level segmenter: a listener that snapshots the
-    cache's per-processor counters at every barrier release.  Combine it
-    with the cache's own sink on the same replay; the thunk closes the
-    final epoch and returns all of them.  [write_shared] is empty at this
-    level — variable identity only exists in the cell stream. *)
-
 val analyze :
   ?cache_bytes:int ->
   ?assoc:int ->
@@ -86,12 +76,9 @@ val analyze :
   block:int ->
   t
 (** Replay (recording a fresh execution when [recorded] is omitted)
-    through a cache simulation segmented at barrier releases, with the
-    cell-level tap that attributes write-sharing to variables, and run
+    through a cache simulation, take the replay engine's per-processor
+    epoch counts ({!Fs_replay.Replay.run}), attribute each epoch's
+    write-sharing to variables from the recorded cell events, and run
     the static cross-check. *)
-
-val fs_matrix : t -> float array array
-(** Processor × epoch false-sharing misses, ready for
-    {!Fs_obs.Heatmap.render}. *)
 
 val render : t -> string

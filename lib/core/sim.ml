@@ -46,7 +46,7 @@ let machine_sim ?config ?sched ?recorded prog plan ~nprocs =
   in
   let layout = Layout.realize prog plan ~block:config.Ksr.block in
   let machine = Ksr.create config in
-  Replay.replay recorded.trace ~layout ~listener:(Ksr.listener machine);
+  Replay.machine recorded.trace ~layout machine;
   { machine = Ksr.finish machine; work = recorded.interp.Interp.work }
 
 let compiler_plan ?options prog ~nprocs =

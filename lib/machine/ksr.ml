@@ -54,7 +54,7 @@ type t = {
   mem_stall : int array;
   sync_stall : int array;
   lock_stall : int array;
-  busy_until : (int, int) Hashtbl.t;  (* block -> cycle it finishes serving *)
+  mutable busy_until : int array;  (* block -> cycle it finishes serving *)
   mutable phase_anchor : int;  (* wall time at which the current phase began *)
   mutable ring_cycles : int;   (* interconnect occupancy accrued this phase *)
   at_barrier : bool array;
@@ -75,7 +75,7 @@ let create cfg =
     mem_stall = Array.make cfg.nprocs 0;
     sync_stall = Array.make cfg.nprocs 0;
     lock_stall = Array.make cfg.nprocs 0;
-    busy_until = Hashtbl.create 256;
+    busy_until = Array.make 256 0;
     phase_anchor = 0;
     ring_cycles = 0;
     at_barrier = Array.make cfg.nprocs false;
@@ -107,29 +107,30 @@ let miss_cost t ~proc ~block ~invalidated latency =
      while the block is still serving an earlier one queues behind it.
      The queueing delay is capped at a full round of waiters, which also
      bounds the effect of cross-processor clock skew. *)
+  if block >= Array.length t.busy_until then
+    t.busy_until <- Array.append t.busy_until (Array.make (block + 1) 0);
+  let busy = t.busy_until.(block) in
   let queued =
-    match Hashtbl.find_opt t.busy_until block with
-    | Some busy when busy > t.clock.(proc) ->
+    if busy > t.clock.(proc) then
       min (busy - t.clock.(proc)) (t.cfg.occupancy * t.cfg.nprocs)
-    | _ -> 0
+    else 0
   in
-  Hashtbl.replace t.busy_until block
-    (max t.clock.(proc) (Option.value (Hashtbl.find_opt t.busy_until block) ~default:0)
-     + t.cfg.occupancy);
+  t.busy_until.(block) <- max t.clock.(proc) busy + t.cfg.occupancy;
   ring_charge t ~invalidated;
   queued + latency
 
-let access t ~proc ~write ~addr =
-  let block = addr / t.cfg.block in
+let charge t ~proc ~addr raw =
   let cost =
-    match Mpcache.access t.cache ~proc ~write ~addr with
-    | Mpcache.Hit -> t.cfg.hit_cycles
-    | Mpcache.Upgrade { invalidated } ->
-      ring_charge t ~invalidated;
+    match raw land 7 with
+    | 0 -> t.cfg.hit_cycles
+    | 1 ->
+      ring_charge t ~invalidated:(raw lsr 12);
       t.cfg.upgrade_latency
-    | Mpcache.Miss { info = { provider; _ }; invalidated } ->
-      miss_cost t ~proc ~block ~invalidated
-        (transfer_latency t ~proc ~provider ~block)
+    | _ ->
+      let block = addr / t.cfg.block in
+      miss_cost t ~proc ~block ~invalidated:(raw lsr 12)
+        (transfer_latency t ~proc ~provider:(((raw lsr 3) land 0x1ff) - 1)
+           ~block)
   in
   t.clock.(proc) <- t.clock.(proc) + cost;
   if cost > t.cfg.hit_cycles then
@@ -172,7 +173,9 @@ let barrier_release t =
 
 let listener t =
   {
-    Listener.access = (fun ~proc ~write ~addr -> access t ~proc ~write ~addr);
+    Listener.access =
+      (fun ~proc ~write ~addr ->
+        charge t ~proc ~addr (Mpcache.access_raw t.cache ~proc ~write ~addr));
     work =
       (fun ~proc ~amount ->
         t.clock.(proc) <- t.clock.(proc) + (amount * t.cfg.work_cpi));
@@ -203,3 +206,5 @@ let finish t =
   }
 
 let cache t = t.cache
+let config t = t.cfg
+let clocks t = t.clock

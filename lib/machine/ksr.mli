@@ -60,9 +60,20 @@ type result = {
 type t
 
 val create : config -> t
-val listener : t -> Fs_trace.Listener.t
+
 val cache : t -> Fs_cache.Mpcache.t
-(** The embedded protocol simulator (for per-processor telemetry). *)
+(** The embedded protocol simulator. *)
 
 val finish : t -> result
-(** Call after the interpreter run driving {!listener} has completed. *)
+(** Call after the run driving the model has completed. *)
+
+val config : t -> config
+val clocks : t -> int array
+
+val charge : t -> proc:int -> addr:int -> int -> unit
+(** Charge [proc]'s reference to [addr] from its
+    {!Fs_cache.Mpcache.access_raw} outcome.  The engine's KSR2 body
+    ([Fs_replay.Replay.machine]) advances {!clocks} itself for a hit and
+    for work, and hands the rest to {!charge} and {!listener}. *)
+
+val listener : t -> Fs_trace.Listener.t

@@ -4,9 +4,7 @@ module Cell_trace = Fs_trace.Cell_trace
 module Cell_listener = Fs_trace.Cell_listener
 module Listener = Fs_trace.Listener
 module Mpcache = Fs_cache.Mpcache
-
-let vars_of prog =
-  Array.of_list (List.map fst prog.Fs_ir.Ast.globals)
+module Ksr = Fs_machine.Ksr
 
 (* ------------------------------------------------------------------ *)
 (* The address oracle: per variable id, the cell -> address map of one
@@ -55,34 +53,19 @@ let translating o (l : Listener.t) : Cell_listener.t =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The replay engine: packed events -> address oracle -> consumer, with
+   no event unpacking and no per-event allocation.  One loop serves every
+   source: an in-memory trace is one chunk (cut at the flight interval
+   when a recorder samples it), an on-disk trace one chunk per block,
+   decoded into a single reused buffer.  Every body keeps its state in
+   the call that runs it, so replays may run at once. *)
 
-let replay trace ~layout ~listener =
-  let o = oracle layout ~vars:(Cell_trace.vars trace) in
-  let cells = translating o listener in
-  Cell_trace.deliver trace cells
+type run = { counts : Mpcache.counts; epochs : Mpcache.counts array array }
 
-let replay_to_sink trace ~layout ~sink =
-  replay trace ~layout ~listener:(Listener.of_sink sink)
-
-(* ------------------------------------------------------------------ *)
-(* The replay engine: packed events -> address oracle -> cache, with no
-   event unpacking, no listener dispatch, and no per-event allocation.
-   Only Access events reach the cache — exactly what the listener path
-   delivers through [Listener.of_sink], where every other hook is a
-   no-op — so the two paths produce identical counts, per processor and
-   per block too on a tracking cache (property-tested over every
-   workload).
-
-   One loop serves every source: an in-memory trace is one chunk (cut at
-   the flight interval when a recorder samples it), an on-disk trace is
-   one chunk per block, decoded into a single reused buffer. *)
-
-type run = { counts : Mpcache.counts; epochs : Mpcache.counts array }
-
-(* The two loop bodies over events [lo .. hi - 1] of one chunk.  Only
+(* The cache bodies over events [lo .. hi - 1] of one chunk.  Only
    indirection layouts inject pointer cells, so the per-event pointer-read
    check lives in its own body.  Epochs are cut in the non-access branch,
-   which costs the access path nothing: a snapshot of the cumulative
+   which costs the access path nothing: a snapshot of the per-processor
    counts at every [Barrier_release], most recent first in [cuts].
 
    The field shifts are written inline, not through the [Cell_event.packed_*]
@@ -91,6 +74,9 @@ type run = { counts : Mpcache.counts; epochs : Mpcache.counts array }
    layout documented in [Cell_event] (tag bits 0-2, write bit 3, proc
    bits 4-11, var bits 12-19, cell bits 20+); the replay = listener
    property tests and the pack/unpack round trip pin them down. *)
+let cut cache cuts =
+  cuts := Array.map Mpcache.copy_counts (Mpcache.proc_counts cache) :: !cuts
+
 let walk_plain cache addr cuts data lo hi =
   for i = lo to hi - 1 do
     let packed = Array.unsafe_get data i in
@@ -100,8 +86,7 @@ let walk_plain cache addr cuts data lo hi =
         ~proc:((packed lsr 4) land 0xff)
         ~write:(packed land 8 <> 0)
         ~addr:addr.((packed lsr 12) land 0xff).(packed lsr 20)
-    else if tag = Cell_event.tag_barrier_release then
-      cuts := Mpcache.copy_counts (Mpcache.counts cache) :: !cuts
+    else if tag = Cell_event.tag_barrier_release then cut cache cuts
   done
 
 let walk_extra cache addr extra cuts data lo hi =
@@ -120,8 +105,63 @@ let walk_extra cache addr extra cuts data lo hi =
       Mpcache.touch cache ~proc ~write:(packed land 8 <> 0)
         ~addr:addr.(var).(cell)
     end
-    else if tag = Cell_event.tag_barrier_release then
-      cuts := Mpcache.copy_counts (Mpcache.counts cache) :: !cuts
+    else if tag = Cell_event.tag_barrier_release then cut cache cuts
+  done
+
+(* The full-event bodies match on the [Cell_event] tag values and
+   mirror [packed_amount], [packed_grant_from1] and [packed_grant_cell];
+   steals carry no address and are dropped, as [translating] does. *)
+let walk_full addr extra (l : Listener.t) data lo hi =
+  for i = lo to hi - 1 do
+    let packed = Array.unsafe_get data i in
+    let proc = (packed lsr 4) land 0xff in
+    match packed land 7 with
+    | 0 ->
+      let var = (packed lsr 12) land 0xff and cell = packed lsr 20 in
+      let ex = extra.(var) in
+      if Array.length ex > 0 && ex.(cell) >= 0 then
+        l.access ~proc ~write:false ~addr:ex.(cell);
+      l.access ~proc ~write:(packed land 8 <> 0) ~addr:addr.(var).(cell)
+    | 1 -> l.work ~proc ~amount:(packed lsr 12)
+    | 2 -> l.barrier_arrive ~proc
+    | 3 -> l.barrier_release ()
+    | 4 ->
+      l.lock_wait ~proc ~addr:addr.((packed lsr 12) land 0xff).(packed lsr 20)
+    | 5 ->
+      l.lock_grant ~proc
+        ~addr:addr.((packed lsr 12) land 0xff).(packed lsr 29)
+        ~from:(((packed lsr 20) land 0x1ff) - 1)
+    | _ -> ()
+  done
+
+(* The KSR2 body writes the model's two common cases in place — a hit
+   ([Mpcache.access_raw] returns 0) and a work event advance the clock,
+   as [Ksr.charge] and [Ksr.listener] do — and hands the rest to the
+   model's code, which ignores lock addresses and lock waits. *)
+let[@inline] machine_step m cache clock hit ~proc ~write ~addr =
+  let raw = Mpcache.access_raw cache ~proc ~write ~addr in
+  if raw = 0 then clock.(proc) <- clock.(proc) + hit
+  else Ksr.charge m ~proc ~addr raw
+
+let walk_machine m addr extra data lo hi =
+  let cache = Ksr.cache m and clock = Ksr.clocks m and l = Ksr.listener m in
+  let { Ksr.hit_cycles = hit; work_cpi = cpi; _ } = Ksr.config m in
+  for i = lo to hi - 1 do
+    let packed = Array.unsafe_get data i in
+    let proc = (packed lsr 4) land 0xff in
+    match packed land 7 with
+    | 0 ->
+      let var = (packed lsr 12) land 0xff and cell = packed lsr 20 in
+      let ex = extra.(var) in
+      if Array.length ex > 0 && ex.(cell) >= 0 then
+        machine_step m cache clock hit ~proc ~write:false ~addr:ex.(cell);
+      machine_step m cache clock hit ~proc ~write:(packed land 8 <> 0)
+        ~addr:addr.(var).(cell)
+    | 1 -> clock.(proc) <- clock.(proc) + ((packed lsr 12) * cpi)
+    | 2 -> l.barrier_arrive ~proc
+    | 3 -> l.barrier_release ()
+    | 5 -> l.lock_grant ~proc ~addr:0 ~from:(((packed lsr 20) land 0x1ff) - 1)
+    | _ -> ()
   done
 
 (* [source f] calls [f data lo hi] for each chunk, in trace order. *)
@@ -172,31 +212,45 @@ let run_chunks ?flight ~vars ~layout ~cache source =
   (* telescoping snapshot deltas; the tail epoch (after the last release,
      or the whole run when there is none) closes against the final
      counts, so the epochs always sum to the totals *)
-  let counts = Mpcache.counts cache in
-  let snaps = Array.of_list (List.rev (counts :: !cuts)) in
+  let snaps =
+    Array.of_list (List.rev (Mpcache.proc_counts cache :: !cuts))
+  in
   let epochs =
     Array.mapi
-      (fun e c ->
-        if e = 0 then Mpcache.copy_counts c
-        else Mpcache.sub_counts c snaps.(e - 1))
+      (fun e procs ->
+        if e = 0 then Array.map Mpcache.copy_counts procs
+        else Array.map2 Mpcache.sub_counts procs snaps.(e - 1))
       snaps
   in
-  { counts; epochs }
+  { counts = Mpcache.counts cache; epochs }
 
-let simulate ?flight trace ~layout ~cache =
+(* The chunks of an in-memory trace: [step] events each, or one chunk. *)
+let trace_chunks ?step trace f =
   let data = Cell_trace.unsafe_data trace in
   let n = Cell_trace.length trace in
+  let step = Option.value step ~default:n in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + step) in
+    f data !lo hi;
+    lo := hi
+  done
+
+let simulate ?flight trace ~layout ~cache =
   (* a recorder samples once per chunk, so its interval cuts the chunks;
      the final partial chunk also deposits a sample, so short traces
      still record their end state *)
-  let step = match flight with Some fr -> Flight.interval fr | None -> n in
-  run_chunks ?flight ~vars:(Cell_trace.vars trace) ~layout ~cache (fun f ->
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + step) in
-        f data !lo hi;
-        lo := hi
-      done)
+  let step = Option.map Flight.interval flight in
+  run_chunks ?flight ~vars:(Cell_trace.vars trace) ~layout ~cache
+    (trace_chunks ?step trace)
+
+let drive trace ~layout ~listener =
+  let o = oracle layout ~vars:(Cell_trace.vars trace) in
+  trace_chunks trace (walk_full o.addr o.extra listener)
+
+let machine trace ~layout m =
+  let o = oracle layout ~vars:(Cell_trace.vars trace) in
+  trace_chunks trace (walk_machine m o.addr o.extra)
 
 let simulate_stream stream ~layout ~cache =
   run_chunks ~vars:(Cell_trace.Stream.vars stream) ~layout ~cache (fun f ->
@@ -209,3 +263,10 @@ let simulate_sharded_stream stream ~shards ~layout ~config =
     invalid_arg "Replay.simulate_sharded_stream: shards must be 1";
   let cache = Mpcache.create ~max_addr:(Layout.size layout) config in
   simulate_stream stream ~layout ~cache
+
+(* Kept under their old names for the repo benchmark (perfbench/), their
+   only callers, which may not change with the engine. *)
+let replay = drive
+
+let replay_to_sink trace ~layout ~sink =
+  drive trace ~layout ~listener:(Listener.of_sink sink)

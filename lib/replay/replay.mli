@@ -4,19 +4,15 @@
     layout decides {e where} each cell lives.  This module is the second
     half of that split: it routes a {!Fs_trace.Cell_trace} (or a live
     cell-event stream) through a layout's address oracle, producing
-    exactly the address-level {!Fs_trace.Listener} stream the simulators
-    consume — including the pointer-load reads an indirection layout
-    interposes, which exist only at replay time.
+    exactly the address-level stream the simulators consume — including
+    the pointer-load reads an indirection layout interposes, which exist
+    only at replay time.
 
     Replay is deterministic and order-preserving: one recorded trace
     replayed under two layouts yields two address streams over the same
     schedule, which is what makes false-sharing comparisons across
     layouts meaningful (the paper's simulator "only observes the address
     stream"). *)
-
-val vars_of : Fs_ir.Ast.program -> string array
-(** Variable ids in declaration order — the id space of the interpreter's
-    cell events and of recorded traces. *)
 
 type oracle
 
@@ -25,41 +21,28 @@ val oracle : Fs_layout.Layout.t -> vars:string array -> oracle
     @raise Invalid_argument when the layout lacks one of [vars]. *)
 
 val translating : oracle -> Fs_trace.Listener.t -> Fs_trace.Cell_listener.t
-(** The translation itself, usable both online (the interpreter's direct
-    path wires its cell stream straight into this) and offline (replay of
-    a recorded trace). *)
-
-val replay :
-  Fs_trace.Cell_trace.t ->
-  layout:Fs_layout.Layout.t ->
-  listener:Fs_trace.Listener.t ->
-  unit
-(** Replay a recorded trace through a layout, event for event. *)
-
-val replay_to_sink :
-  Fs_trace.Cell_trace.t ->
-  layout:Fs_layout.Layout.t ->
-  sink:Fs_trace.Sink.t ->
-  unit
+(** The translation itself: the interpreter's direct path wires its cell
+    stream straight into this, and the tests' reference replay of a
+    recorded trace routes every unpacked event through it. *)
 
 (** {1 The replay engine}
 
-    One chunked loop over packed events: decode each access inline, map
-    it through the oracle's flat arrays, and feed
-    {!Fs_cache.Mpcache.touch} — no per-event variant allocation and no
-    listener dispatch.  Counts are identical to
-    [replay_to_sink _ ~sink:(Mpcache.sink cache)] (the reference path,
-    which remains the route for consumers that need the full listener
-    event stream), and on a cache created with [~track_blocks:true] so
-    are its per-processor and per-block counts. *)
+    One chunked loop over packed events, decoded inline and mapped
+    through the oracle's flat arrays, with no per-event allocation.  Its
+    bodies feed a {!Fs_cache.Mpcache} ({!simulate}), the KSR2 model
+    ({!machine}) or a listener ({!drive}).  The cache counts equal those
+    of {!drive} into [Listener.of_sink (Mpcache.touch cache)], per
+    processor and per block too. *)
 
 type run = {
   counts : Fs_cache.Mpcache.counts;  (** the cache's whole-run totals *)
-  epochs : Fs_cache.Mpcache.counts array;
-      (** counts per barrier-release epoch: entry [e] covers the events
-          between release [e - 1] (or the start) and release [e], the
-          last entry the tail after the final release; the entries sum
-          field-wise to [counts] *)
+  epochs : Fs_cache.Mpcache.counts array array;
+      (** counts per barrier-release epoch and processor: [epochs.(e)]
+          covers the events between release [e - 1] (or the start) and
+          release [e], the last entry the tail after the final release;
+          [epochs.(e).(p)] is processor [p]'s share, cut from
+          {!Fs_cache.Mpcache.proc_counts}.  The entries sum field-wise
+          to [counts]. *)
 }
 
 val simulate :
@@ -88,6 +71,35 @@ val simulate_stream :
     in-memory trace, while peak heap stays at one block.
     @raise Fs_trace.Cell_trace.Corrupt on a damaged block, and
     [Invalid_argument] as {!simulate}. *)
+
+val drive :
+  Fs_trace.Cell_trace.t ->
+  layout:Fs_layout.Layout.t ->
+  listener:Fs_trace.Listener.t ->
+  unit
+(** Every event of an in-memory trace, in order, to [listener], pointer
+    loads included; steals have no address and are dropped.  The route
+    of the timeline.  @raise Invalid_argument as {!simulate}. *)
+
+val machine :
+  Fs_trace.Cell_trace.t -> layout:Fs_layout.Layout.t -> Fs_machine.Ksr.t -> unit
+(** Run the KSR2 model over an in-memory trace, ending as if
+    {!Fs_machine.Ksr.listener} had heard the same run from the
+    interpreter.  @raise Invalid_argument as {!simulate}. *)
+
+val replay :
+  Fs_trace.Cell_trace.t ->
+  layout:Fs_layout.Layout.t ->
+  listener:Fs_trace.Listener.t ->
+  unit
+(** {!drive}, under the name the repo benchmark ([perfbench/]) calls. *)
+
+val replay_to_sink :
+  Fs_trace.Cell_trace.t ->
+  layout:Fs_layout.Layout.t ->
+  sink:Fs_trace.Sink.t ->
+  unit
+(** {!drive} into [Listener.of_sink sink], for the same caller. *)
 
 val simulate_sharded_stream :
   Fs_trace.Cell_trace.Stream.t ->

@@ -57,10 +57,6 @@ val tag_barrier_release : int
     replay engine and the phase tracker both key on. *)
 
 val tag_access : int
-val tag_work : int
-val tag_barrier_arrive : int
-val tag_lock_wait : int
-val tag_lock_grant : int
 
 val tag_steal : int
 (** Steal events carry no memory traffic of their own (the deque cell

@@ -8,49 +8,6 @@ type t = {
   steal : thief:int -> victim:int -> task:int -> unit;
 }
 
-let null =
-  {
-    access = (fun ~proc:_ ~write:_ ~var:_ ~cell:_ -> ());
-    work = (fun ~proc:_ ~amount:_ -> ());
-    barrier_arrive = (fun ~proc:_ -> ());
-    barrier_release = (fun () -> ());
-    lock_wait = (fun ~proc:_ ~var:_ ~cell:_ -> ());
-    lock_grant = (fun ~proc:_ ~var:_ ~cell:_ ~from:_ -> ());
-    steal = (fun ~thief:_ ~victim:_ ~task:_ -> ());
-  }
-
-let combine a b =
-  {
-    access =
-      (fun ~proc ~write ~var ~cell ->
-        a.access ~proc ~write ~var ~cell;
-        b.access ~proc ~write ~var ~cell);
-    work =
-      (fun ~proc ~amount ->
-        a.work ~proc ~amount;
-        b.work ~proc ~amount);
-    barrier_arrive =
-      (fun ~proc ->
-        a.barrier_arrive ~proc;
-        b.barrier_arrive ~proc);
-    barrier_release =
-      (fun () ->
-        a.barrier_release ();
-        b.barrier_release ());
-    lock_wait =
-      (fun ~proc ~var ~cell ->
-        a.lock_wait ~proc ~var ~cell;
-        b.lock_wait ~proc ~var ~cell);
-    lock_grant =
-      (fun ~proc ~var ~cell ~from ->
-        a.lock_grant ~proc ~var ~cell ~from;
-        b.lock_grant ~proc ~var ~cell ~from);
-    steal =
-      (fun ~thief ~victim ~task ->
-        a.steal ~thief ~victim ~task;
-        b.steal ~thief ~victim ~task);
-  }
-
 let dispatch t = function
   | Cell_event.Access { proc; write; var; cell } -> t.access ~proc ~write ~var ~cell
   | Cell_event.Work { proc; amount } -> t.work ~proc ~amount

@@ -16,10 +16,5 @@ type t = {
   steal : thief:int -> victim:int -> task:int -> unit;
 }
 
-val null : t
-
-val combine : t -> t -> t
-(** Deliver every event to both, first argument first. *)
-
 val dispatch : t -> Cell_event.t -> unit
 (** Feed one reified event to the listener. *)

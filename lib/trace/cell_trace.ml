@@ -97,8 +97,6 @@ let compact t = ignore (data t)
 
 let iter f t = iter_packed (fun packed -> f (Cell_event.unpack packed)) t
 
-let deliver t listener = iter (Cell_listener.dispatch listener) t
-
 let equal a b =
   a.nprocs = b.nprocs && a.vars = b.vars && a.len = b.len && data a = data b
 

@@ -5,9 +5,6 @@
    [Corrupt] naming the damaged block instead of silently wrong replay
    counts. *)
 
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* One flat array of eight tables: [table.(n)] for n < 256 is the
    classic bytewise table T0, and T(k) at [256 * k] advances T(k-1)'s
    entry by one more zero byte, so T(k).(b) is the CRC contribution of a
@@ -51,7 +48,6 @@ let[@inline] step8 crc b0 b1 b2 b3 b4 b5 b6 b7 =
   lxor Array.unsafe_get t b7
 
 let[@inline] sget s i = Char.code (String.unsafe_get s i)
-let[@inline] bget (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
 
 let check_range what len pos n =
   if pos < 0 || n < 0 || pos > len - n then invalid_arg ("Crc32." ^ what)
@@ -72,22 +68,4 @@ let string_sub crc s pos len =
   done;
   !c
 
-let bigstring_sub crc (b : bigstring) pos len =
-  check_range "bigstring_sub" (Bigarray.Array1.dim b) pos len;
-  let c = ref crc in
-  let i = ref pos in
-  let stop8 = pos + len - 8 in
-  while !i <= stop8 do
-    let k = !i in
-    c := step8 !c (bget b k) (bget b (k + 1)) (bget b (k + 2)) (bget b (k + 3))
-           (bget b (k + 4)) (bget b (k + 5)) (bget b (k + 6)) (bget b (k + 7));
-    i := k + 8
-  done;
-  for k = !i to pos + len - 1 do
-    c := byte !c (bget b k)
-  done;
-  !c
-
 let of_string s = finish (string_sub start s 0 (String.length s))
-
-let of_bigstring_sub b pos len = finish (bigstring_sub start b pos len)

@@ -3,11 +3,7 @@
     Checksums are 32-bit values returned as non-negative OCaml ints.
     The incremental interface carries the conventional inverted
     register: begin with {!start}, fold bytes with {!byte} /
-    {!string_sub} / {!bigstring_sub}, and {!finish} to obtain the
-    checksum. *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+    {!string_sub}, and {!finish} to obtain the checksum. *)
 
 val start : int
 val finish : int -> int
@@ -21,11 +17,5 @@ val string_sub : int -> string -> int -> int -> int
     equals folding each byte with {!byte}.
     @raise Invalid_argument if the range is not inside [s]. *)
 
-val bigstring_sub : int -> bigstring -> int -> int -> int
-(** As {!string_sub}, over a bigarray. *)
-
 val of_string : string -> int
 (** One-shot checksum of a whole string. *)
-
-val of_bigstring_sub : bigstring -> int -> int -> int
-(** One-shot checksum of [len] bytes of a bigarray from [pos]. *)

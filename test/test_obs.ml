@@ -746,7 +746,7 @@ let test_pipeline_interp_metrics () =
                   prog.Fs_ir.Ast.globals
               then indirect := true;
               let reference = Metrics.create () in
-              Fs_replay.Replay.replay trace ~layout
+              Tutil.listener_replay trace ~layout
                 ~listener:(Metrics.listener reference);
               let r = Falseshare.Pipeline.run ?sched ~plan prog ~nprocs ~block in
               let got = interp_entries r.Falseshare.Pipeline.metrics in

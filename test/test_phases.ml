@@ -6,6 +6,8 @@
 
 module Phases = Falseshare.Phases
 module Hotlines = Falseshare.Hotlines
+module Blame = Falseshare.Blame
+module Attribution = Falseshare.Attribution
 module Sim = Falseshare.Sim
 module E = Falseshare.Experiments
 module Emit = Falseshare.Emit
@@ -175,6 +177,73 @@ let test_hotlines_agree_with_per_block () =
     (List.length run.Sim.per_block)
     (List.length h.Hotlines.hot + h.Hotlines.dropped)
 
+(* The forensic consumers' outputs, pinned: (length, CRC-32) of the
+   compact JSON of Emit.hotlines, Emit.blame, Emit.phases and
+   Emit.attribution for three workloads under the unoptimized and the
+   compiler layout at 128 B blocks, 8 processors.  The pins come from
+   the listener-path replay (and, for Attribution, direct
+   interpretation), so any drift in the engine route shows here. *)
+let consumer_pins =
+  [ ("maxflow s4 original hotlines", 5851, 0xab5dbd70);
+    ("maxflow s4 original blame", 11695, 0xe9253997);
+    ("maxflow s4 original phases", 36859, 0xea330479);
+    ("maxflow s4 original attribution", 1550, 0xbee869a4);
+    ("maxflow s4 compiler hotlines", 5565, 0xe1e27d71);
+    ("maxflow s4 compiler blame", 17451, 0x270e4e58);
+    ("maxflow s4 compiler phases", 36861, 0xc0993cef);
+    ("maxflow s4 compiler attribution", 2049, 0x0fbba504);
+    ("water s2 original hotlines", 5693, 0xfdc790b4);
+    ("water s2 original blame", 5515, 0xc1f22c81);
+    ("water s2 original phases", 20831, 0x4f4294c4);
+    ("water s2 original attribution", 803, 0xecb417b2);
+    ("water s2 compiler hotlines", 5384, 0x4f6fc429);
+    ("water s2 compiler blame", 4757, 0xb5b56eda);
+    ("water s2 compiler phases", 19645, 0x0d84ab78);
+    ("water s2 compiler attribution", 976, 0xfa85ed42);
+    ("pverify s4 original hotlines", 5711, 0x8eb74d9e);
+    ("pverify s4 original blame", 8782, 0xc00de0f5);
+    ("pverify s4 original phases", 6508, 0xc0ebab23);
+    ("pverify s4 original attribution", 560, 0x20705c2a);
+    ("pverify s4 compiler hotlines", 5399, 0xb4bfbd6a);
+    ("pverify s4 compiler blame", 3432, 0x6b3d68ec);
+    ("pverify s4 compiler phases", 6481, 0xcd2efba5);
+    ("pverify s4 compiler attribution", 1278, 0x93fb3e03) ]
+
+let test_consumer_pins () =
+  let nprocs = 8 and block = 128 in
+  let got =
+    List.concat_map
+      (fun (name, scale) ->
+        let w = Ws.find name in
+        let prog = w.W.build ~nprocs ~scale in
+        let recorded = Sim.record prog ~nprocs in
+        List.concat_map
+          (fun version ->
+            let plan = E.plan_for w version prog ~nprocs ~scale in
+            let pin what json =
+              let s = Json.to_string ~compact:true json in
+              ( Printf.sprintf "%s s%d %s %s" name scale
+                  (W.version_to_string version) what,
+                String.length s,
+                Fs_util.Crc32.of_string s )
+            in
+            [ pin "hotlines"
+                (Emit.hotlines (Hotlines.analyze ~recorded prog plan ~nprocs ~block));
+              pin "blame"
+                (Emit.blame (Blame.analyze ~recorded prog plan ~nprocs ~block));
+              pin "phases"
+                (Emit.phases (Phases.analyze ~recorded prog plan ~nprocs ~block));
+              pin "attribution"
+                (Emit.attribution
+                   (Attribution.attribute ~recorded prog plan ~nprocs ~block)) ])
+          [ W.N; W.C ])
+      [ ("maxflow", 4); ("water", 2); ("pverify", 4) ]
+  in
+  let show (k, n, c) = Printf.sprintf "(%S, %d, 0x%08x)" k n c in
+  if got <> consumer_pins then
+    Alcotest.fail
+      ("consumer outputs moved; now:\n" ^ String.concat ";\n" (List.map show got))
+
 let suite =
   [ Alcotest.test_case "epoch sums (all workloads x {16,128}B)" `Slow
       test_epoch_sums;
@@ -182,4 +251,6 @@ let suite =
     Alcotest.test_case "phases json sums" `Quick test_phases_json_sums;
     Alcotest.test_case "topopt hot lines" `Quick test_topopt_hotlines;
     Alcotest.test_case "hot lines agree with per-block" `Quick
-      test_hotlines_agree_with_per_block ]
+      test_hotlines_agree_with_per_block;
+    Alcotest.test_case "consumer outputs pinned (maxflow, water, pverify)" `Quick
+      test_consumer_pins ]

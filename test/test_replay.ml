@@ -46,7 +46,7 @@ let direct_stream prog ~nprocs ~layout =
 
 let replay_stream trace ~layout =
   let acc = ref [] in
-  Replay.replay trace ~layout ~listener:(capture acc);
+  Replay.drive trace ~layout ~listener:(capture acc);
   List.rev !acc
 
 (* Replay of a recorded trace must reproduce the direct path event for
@@ -129,8 +129,7 @@ let test_fused_equivalence () =
                 Fs_cache.Mpcache.create ~track_blocks:true ~max_addr
                   (cfg block)
               in
-              Replay.replay_to_sink trace ~layout
-                ~sink:(Fs_cache.Mpcache.sink reference);
+              Tutil.cache_replay trace ~layout ~cache:reference;
               let fused =
                 Fs_cache.Mpcache.create ~track_blocks:true ~max_addr
                   (cfg block)
@@ -491,12 +490,55 @@ let test_sim_recorded_counts () =
         (Printf.sprintf "counts identical at block %d" block)
         true
         (fresh.Sim.counts = replayed.Sim.counts))
-    [ 16; 128 ];
-  let fresh = Sim.machine_sim prog plan ~nprocs in
-  let replayed = Sim.machine_sim ~recorded prog plan ~nprocs in
-  Alcotest.(check int) "KSR cycles identical"
-    fresh.Sim.machine.Fs_machine.Ksr.cycles
-    replayed.Sim.machine.Fs_machine.Ksr.cycles
+    [ 16; 128 ]
+
+(* The KSR2 model on the replay engine's KSR2 body ([Sim.machine_sim],
+   which replays a recording through [Replay.machine]) against the same
+   model driven live by the interpreter through [Ksr.listener]: every
+   workload under the unoptimized and the compiler layout, at scale 1
+   and 8 processors.  The two routes share the model's cost code and the
+   layout's address tables; one decodes packed events and charges hits
+   and work in place, the other hears the interpreter through
+   [Replay.translating]. *)
+let test_ksr_engine_vs_interp () =
+  let module Ksr = Fs_machine.Ksr in
+  let nprocs = 8 and scale = 1 in
+  List.iter
+    (fun (w : W.t) ->
+      let sched =
+        if w.W.dynamic then Some (Fs_sched.Sched.seeded 1) else None
+      in
+      let prog = w.build ~nprocs ~scale in
+      let recorded = Sim.record ?sched prog ~nprocs in
+      List.iter
+        (fun version ->
+          let plan = E.plan_for w version prog ~nprocs ~scale in
+          let what =
+            Printf.sprintf "%s/%s" w.name (W.version_to_string version)
+          in
+          let engine =
+            (Sim.machine_sim ~recorded prog plan ~nprocs).Sim.machine
+          in
+          let config = Ksr.default_config ~nprocs in
+          let layout = Layout.realize prog plan ~block:config.Ksr.block in
+          let m = Ksr.create config in
+          let _ =
+            Interp.run ?sched prog ~nprocs ~layout ~listener:(Ksr.listener m)
+          in
+          let live = Ksr.finish m in
+          let ints field a b =
+            Alcotest.(check (array int)) (what ^ ": " ^ field) a b
+          in
+          Alcotest.(check int) (what ^ ": cycles") live.Ksr.cycles
+            engine.Ksr.cycles;
+          ints "per_proc" live.Ksr.per_proc engine.Ksr.per_proc;
+          ints "mem_stall" live.Ksr.mem_stall engine.Ksr.mem_stall;
+          ints "sync_stall" live.Ksr.sync_stall engine.Ksr.sync_stall;
+          ints "lock_stall" live.Ksr.lock_stall engine.Ksr.lock_stall;
+          Alcotest.(check bool) (what ^ ": cache") true
+            (live.Ksr.cache = engine.Ksr.cache))
+        [ W.N; W.C ])
+    Ws.every
 
 let suite =
   [ Alcotest.test_case "replay equivalence (all benchmarks)" `Quick
@@ -520,4 +562,6 @@ let suite =
     Alcotest.test_case "memo capture dir" `Quick test_memo_capture_dir;
     Alcotest.test_case "par map" `Quick test_par_map;
     Alcotest.test_case "jobs independence" `Quick test_jobs_independence;
-    Alcotest.test_case "sim replay counts" `Quick test_sim_recorded_counts ]
+    Alcotest.test_case "sim replay counts" `Quick test_sim_recorded_counts;
+    Alcotest.test_case "KSR2 engine = interpreter (every workload x {N,C})"
+      `Quick test_ksr_engine_vs_interp ]

@@ -594,6 +594,60 @@ let test_server_quitquitquit () =
   | exception (Unix.Unix_error _ | Http.Bad_request _) -> ()
   | _ -> Alcotest.fail "daemon still answering after quit")
 
+(* Two client threads against a two-worker daemon, each sending the
+   forensic endpoints (hotlines, repair, blame, phases) for its own
+   workload, so the workers replay concurrently: every result must equal
+   the one a one-worker daemon gives when the same requests arrive one at
+   a time.  State shared between the workers' replays would show up here
+   as a result that depends on the interleaving. *)
+let test_server_concurrent_matches_sequential () =
+  let endpoints = [ "hotlines"; "repair"; "blame"; "phases" ] in
+  let requests workload =
+    List.map
+      (fun ep ->
+        (ep, Printf.sprintf {|{"workload":"%s","nprocs":4,"block":64}|} workload))
+      endpoints
+  in
+  let ask port (ep, body) =
+    let s, _, reply = Http.request ~port ~body ("/" ^ ep) in
+    if s <> 200 then
+      Alcotest.fail (Printf.sprintf "%s %s: status %d: %s" ep body s reply);
+    Json.to_string (Option.get (Json.member "result" (get_json ep reply)))
+  in
+  let with_daemon workers f =
+    let cfg =
+      { Srv.default_config with
+        workers;
+        queue_capacity = 16;
+        jobs = 1;
+        cache_dir = fresh_dir (Printf.sprintf "conc%d" workers) }
+    in
+    let t = Srv.start cfg in
+    Fun.protect ~finally:(fun () -> Srv.stop t) (fun () -> f (Srv.port t))
+  in
+  let mine = requests "pverify" and theirs = List.rev (requests "maxflow") in
+  let sequential =
+    with_daemon 1 (fun port -> List.map (ask port) (mine @ theirs))
+  in
+  let concurrent =
+    with_daemon 2 (fun port ->
+        let results = Array.make 2 [] in
+        let client i reqs =
+          Thread.create (fun () -> results.(i) <- List.map (ask port) reqs) ()
+        in
+        let a = client 0 mine and b = client 1 theirs in
+        Thread.join a;
+        Thread.join b;
+        results.(0) @ results.(1))
+  in
+  Alcotest.(check int) "every request answered" (List.length sequential)
+    (List.length concurrent);
+  List.iter2
+    (fun ((ep, body), seq) conc ->
+      Alcotest.(check string) (Printf.sprintf "%s %s" ep body) seq conc)
+    (List.combine (mine @ theirs) sequential)
+    concurrent
+
 let suite =
   [ Alcotest.test_case "http reader" `Quick test_http_reader;
     Alcotest.test_case "store key" `Quick test_store_key;
@@ -607,4 +661,6 @@ let suite =
     Alcotest.test_case "daemon end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
-    Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit ]
+    Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
+    Alcotest.test_case "daemon concurrent forensics = sequential" `Quick
+      test_server_concurrent_matches_sequential ]

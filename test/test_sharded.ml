@@ -1,6 +1,6 @@
 (* Tests for the replay engine: bit-identity with the listener reference
-   path, in memory and streamed from disk, epoch reconciliation against
-   the Phases tracker, and the Sim/Pipeline routes agreeing.  The suite
+   path, in memory and streamed from disk, epoch reconciliation with the
+   Phases profile, and the Sim/Pipeline routes agreeing.  The suite
    and its test names date from when replay could also be sharded; they
    are kept so the test ids stay stable. *)
 
@@ -52,8 +52,7 @@ let test_sharded_equivalence () =
                   (Mpcache.default_config ~nprocs ~block)
               in
               let reference = cache () in
-              Replay.replay_to_sink trace ~layout
-                ~sink:(Mpcache.sink reference);
+              Tutil.cache_replay trace ~layout ~cache:reference;
               let in_memory = cache () and streamed = cache () in
               ignore (Replay.simulate trace ~layout ~cache:in_memory);
               ignore (Replay.simulate_stream stream ~layout ~cache:streamed);
@@ -74,9 +73,9 @@ let test_sharded_equivalence () =
         [ W.N; W.C ])
     Ws.all
 
-(* Epoch reconciliation: the engine's per-epoch deltas must sum to the
-   whole-run totals, and must agree epoch for epoch with the Phases
-   tracker's listener-path segmentation of the same replay. *)
+(* Epoch reconciliation: the engine's per-epoch, per-processor deltas
+   must sum to the whole-run totals, and the Phases profile of the same
+   recording must agree with them epoch for epoch. *)
 let test_epoch_reconciliation () =
   List.iter
     (fun name ->
@@ -95,7 +94,7 @@ let test_epoch_reconciliation () =
       in
       let r = Replay.simulate recorded.Sim.trace ~layout ~cache in
       let esum = Mpcache.zero_counts () in
-      Array.iter (fun e -> Mpcache.add_into esum e) r.Replay.epochs;
+      Array.iter (Array.iter (Mpcache.add_into esum)) r.Replay.epochs;
       Alcotest.(check bool) (name ^ ": epochs sum to totals") true
         (esum = r.Replay.counts);
       Alcotest.(check int) (name ^ ": epoch count")
@@ -106,7 +105,7 @@ let test_epoch_reconciliation () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: epoch %d counts" name e.Phases.index)
             true
-            (Phases.epoch_total e = r.Replay.epochs.(e.Phases.index)))
+            (e.Phases.per_proc = r.Replay.epochs.(e.Phases.index)))
         p.Phases.epochs)
     [ "pverify"; "topopt" ]
 
@@ -143,10 +142,9 @@ let test_stream_replay_identity () =
   | () -> Alcotest.fail "expected Invalid_argument after close"
   | exception Invalid_argument _ -> ()
 
-(* The routing surface: Sim.cache_sim replays through the engine —
-   tracked, and with a flight recorder attached — and must report the
-   same counts and per-block table as Pipeline.run, which replays the
-   same plan through the listener path. *)
+(* The routing surface: Sim.cache_sim — tracked, and with a flight
+   recorder attached — must report the same counts and per-block table
+   as Pipeline.run, which records and replays the same plan itself. *)
 let test_routing_equivalence () =
   let w = Ws.find "raytrace" in
   let nprocs = 4 in
@@ -171,7 +169,7 @@ let test_routing_equivalence () =
 let suite =
   [ Alcotest.test_case "sharded count equivalence (all benchmarks)" `Quick
       test_sharded_equivalence;
-    Alcotest.test_case "epoch reconciliation vs phases tracker" `Quick
+    Alcotest.test_case "epoch reconciliation vs phases profile" `Quick
       test_epoch_reconciliation;
     Alcotest.test_case "streamed replay identity" `Quick
       test_stream_replay_identity;

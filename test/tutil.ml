@@ -149,3 +149,21 @@ let check_histogram what samples name labels =
   Alcotest.(check int) (what ^ ": +Inf bucket = _count") count
     (List.nth cums (List.length cums - 1));
   ignore (float_of_string (find_sample what samples (name ^ "_sum") labels))
+
+(* ------------------------------------------------------------------ *)
+(* The reference listener replay: a recorded trace unpacked event by
+   event and routed through [Replay.translating], the translation the
+   interpreter's direct path uses, with none of the replay engine's
+   packed decode.  The oracle every engine body is checked against. *)
+
+let listener_replay trace ~layout ~listener =
+  let o =
+    Fs_replay.Replay.oracle layout ~vars:(Fs_trace.Cell_trace.vars trace)
+  in
+  Fs_trace.Cell_trace.iter
+    (Fs_trace.Cell_listener.dispatch (Fs_replay.Replay.translating o listener))
+    trace
+
+let cache_replay trace ~layout ~cache =
+  listener_replay trace ~layout
+    ~listener:(Fs_trace.Listener.of_sink (Fs_cache.Mpcache.touch cache))

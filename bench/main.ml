@@ -53,6 +53,17 @@ let time_it f =
 let tmp_trace tag =
   Filename.temp_file (Printf.sprintf "fs-bench-%s-" tag) ".fstrace"
 
+(* The listener path: every recorded event unpacked, dispatched and
+   translated through the layout, with none of the replay engine's
+   packed decode — the reference the simspeed and engine sections hold
+   the engine to. *)
+let listener_replay trace ~layout ~sink =
+  let o = Fs_replay.Replay.oracle layout ~vars:(Ct.vars trace) in
+  Ct.iter
+    (Fs_trace.Cell_listener.dispatch
+       (Fs_replay.Replay.translating o (Fs_trace.Listener.of_sink sink)))
+    trace
+
 (* accumulated for BENCH_results.json, in run order *)
 let results : (string * Json.t) list ref = ref []
 
@@ -187,15 +198,15 @@ let replay_bench ~jobs () =
 (* ------------------------------------------------------------------ *)
 (* The simulator hot path, three ways over the same recorded trace:
    the engine the flat-array rewrite replaced (bench/legacy_cache.ml:
-   hashtables + int-list LRU sets, fed through the engine's listener
-   body as a sink), the live flat-array engine through the same sink,
-   and the fused packed-replay loop, in memory and streamed from a v2
-   file.  legacy -> fused is the rewrite's total win; reference -> fused
-   isolates the per-event listener dispatch the cache bodies skip;
-   fused -> streamed is the cost of decoding.                          *)
+   hashtables + int-list LRU sets, driven through the listener path),
+   the live flat-array engine on the same listener path, and the fused
+   packed-replay loop, in memory and streamed from a v2 file.  legacy ->
+   fused is the rewrite's total win; reference -> fused isolates the
+   per-event unpack + dispatch + outcome-boxing cost the fused loop
+   removes; fused -> streamed is the cost of decoding.                 *)
 
 let simspeed () =
-  section "Simulator hot path - fused packed replay vs listener sinks \
+  section "Simulator hot path - fused packed replay vs listener paths \
            (pverify, unoptimized, 128B)";
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
@@ -209,14 +220,12 @@ let simspeed () =
   let reps = 10 in
   let legacy () =
     let c = Legacy_cache.create (C.default_config ~nprocs ~block:128) in
-    Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-      ~sink:(Legacy_cache.sink c);
+    listener_replay recorded.Sim.trace ~layout ~sink:(Legacy_cache.sink c);
     Legacy_cache.counts c
   in
   let reference () =
     let c = C.create ~max_addr (C.default_config ~nprocs ~block:128) in
-    Fs_replay.Replay.replay_to_sink recorded.Sim.trace ~layout
-      ~sink:(C.sink c);
+    listener_replay recorded.Sim.trace ~layout ~sink:(C.touch c);
     C.counts c
   in
   let fused () =
@@ -277,12 +286,12 @@ let simspeed () =
     else 0.
   in
   Printf.printf
-    "pre-rewrite engine, listener sink: %.3fs  (%.1f Mevents/s)\n\
-     flat-array engine, listener sink:  %.3fs  (%.1f Mevents/s)\n\
+    "pre-rewrite engine, listener path: %.3fs  (%.1f Mevents/s)\n\
+     flat-array engine, listener path:  %.3fs  (%.1f Mevents/s)\n\
      flat-array engine, fused loop:     %.3fs  (%.1f Mevents/s)\n\
      fused loop, streamed v2 file:      %.3fs  (%.1f Mevents/s, %.1f MB/s \
      read)\n\
-     fused vs pre-rewrite: %.2fx | fused vs listener sink: %.2fx \
+     fused vs pre-rewrite: %.2fx | fused vs listener path: %.2fx \
      (%d events x%d, identical counts)\n"
     t_legacy (rate t_legacy) t_ref (rate t_ref) t_fused (rate t_fused)
     t_stream (rate t_stream) mbs
@@ -854,7 +863,7 @@ let phases_bench () =
    compares it bit for bit.                                            *)
 
 let engine_bench () =
-  section "Replay engine - bit-identity vs the listener body, in memory \
+  section "Replay engine - bit-identity vs the listener path, in memory \
            and streamed (pverify and topopt, unoptimized, 16B and 128B)";
   let module R = Fs_replay.Replay in
   let t0 = Unix.gettimeofday () in
@@ -882,7 +891,7 @@ let engine_bench () =
               let cache () = C.create ~max_addr:(Layout.size layout) config in
               let reference =
                 let c = cache () in
-                R.replay_to_sink recorded.Sim.trace ~layout ~sink:(C.sink c);
+                listener_replay recorded.Sim.trace ~layout ~sink:(C.touch c);
                 C.counts c
               in
               let s = R.simulate recorded.Sim.trace ~layout ~cache:(cache ()) in

@@ -218,18 +218,65 @@ let list_cmd =
 
 (* --- report --- *)
 
+(* The phase table of [report] and [check --run], read off the ambient
+   recorder [with_telemetry] installs: the command's own top-level
+   stages (check's parse) and the stage spans of every [Pipeline.run],
+   in start order, each with its wall time and [events] attribute. *)
+let pipeline_phases () =
+  match Fs_obs.Span.current () with
+  | None -> []
+  | Some recorder ->
+    let spans = Fs_obs.Span.spans recorder in
+    let pipelines =
+      List.filter_map
+        (fun (sp : Fs_obs.Span.span) ->
+          if sp.name = "pipeline" then Some sp.id else None)
+        spans
+    in
+    List.filter_map
+      (fun (sp : Fs_obs.Span.span) ->
+        if (sp.parent = 0 && sp.name <> "pipeline") || List.mem sp.parent pipelines
+        then
+          let events =
+            Option.fold ~none:0 ~some:int_of_string (List.assoc_opt "events" sp.attrs)
+          in
+          Some (sp.name, Fs_obs.Span.duration recorder sp, events)
+        else None)
+      spans
+
+let phases_json phases =
+  Json.List
+    (List.map
+       (fun (name, seconds, events) ->
+         Json.Obj
+           [ ("phase", Json.String name);
+             ("seconds", Json.float seconds);
+             ("events", Json.Int events) ])
+       phases)
+
+let render_phases phases =
+  let total = List.fold_left (fun acc (_, s, _) -> acc +. s) 0.0 phases in
+  Fs_util.Table.render ~header:[ "phase"; "time"; "share"; "events" ]
+    (List.map
+       (fun (name, seconds, events) ->
+         [ name;
+           Printf.sprintf "%.1f ms" (seconds *. 1000.0);
+           (if total > 0.0 then Fs_util.Table.pct (seconds /. total) else "-");
+           (if events > 0 then string_of_int events else "-") ])
+       phases)
+
 let report_cmd =
   let run w nprocs scale block seed json () =
     let sched = sched_of w seed in
     let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
     let r = Pipeline.run ?sched prog ~nprocs ~block in
     if json then print_json (Json.Obj [ ("report", Emit.transform_report r.Pipeline.report);
-                                        ("profile", Fs_obs.Profile.to_json r.profile);
+                                        ("profile", phases_json (pipeline_phases ()));
                                         ("metrics", Fs_obs.Metrics.to_json r.metrics) ])
     else begin
       Format.printf "%a@." T.pp_report r.Pipeline.report;
       print_endline "pipeline phases:";
-      print_string (Fs_obs.Profile.render r.profile)
+      print_string (render_phases (pipeline_phases ()))
     end
   in
   Cmd.v
@@ -605,11 +652,10 @@ let check_cmd =
     let n = in_channel_length ic in
     let src = really_input_string ic n in
     close_in ic;
-    let profile = Fs_obs.Profile.create () in
     match
-      Fs_obs.Profile.time profile "parse"
-        ~events:(fun _ -> String.length src)
-        (fun () -> Fs_parc.Parser.parse_and_validate src)
+      Fs_obs.Span.timed "parse" (fun () ->
+          Fs_obs.Span.note "events" (string_of_int (String.length src));
+          Fs_parc.Parser.parse_and_validate src)
     with
     | Error errs ->
       if json then
@@ -634,21 +680,21 @@ let check_cmd =
             (List.length prog.Fs_ir.Ast.globals)
             (List.length prog.Fs_ir.Ast.funcs)
       | Some nprocs ->
-        let r = Pipeline.run ~profile prog ~nprocs ~block:128 in
+        let r = Pipeline.run prog ~nprocs ~block:128 in
         if json then
           print_json
             (Json.Obj
                [ ("ok", Json.Bool true);
                  ("name", Json.String prog.Fs_ir.Ast.pname);
                  ("report", Emit.transform_report r.Pipeline.report);
-                 ("profile", Fs_obs.Profile.to_json r.profile) ])
+                 ("profile", phases_json (pipeline_phases ())) ])
         else begin
           Printf.printf "%s: ok (%d globals, %d functions)\n" prog.Fs_ir.Ast.pname
             (List.length prog.Fs_ir.Ast.globals)
             (List.length prog.Fs_ir.Ast.funcs);
           Format.printf "%a@." T.pp_report r.Pipeline.report;
           print_endline "pipeline phases:";
-          print_string (Fs_obs.Profile.render r.profile)
+          print_string (render_phases (pipeline_phases ()))
         end)
   in
   Cmd.v

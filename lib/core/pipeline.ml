@@ -4,19 +4,15 @@ module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Layout = Fs_layout.Layout
 module Mpcache = Fs_cache.Mpcache
-module Interp = Fs_interp.Interp
 module Replay = Fs_replay.Replay
 module Cell_trace = Fs_trace.Cell_trace
 module Metrics = Fs_obs.Metrics
-module Profile = Fs_obs.Profile
 module Span = Fs_obs.Span
-module Json = Fs_obs.Json
 
 type t = {
   report : T.report;
   cache : Sim.cache_run;
   metrics : Metrics.t;
-  profile : Profile.t;
 }
 
 let proc_label p = [ ("proc", string_of_int p) ]
@@ -98,77 +94,73 @@ let ingest_interp metrics ~proc_counts trace =
     proc_counts;
   add "interp_barrier_releases" !releases
 
-let run ?options ?plan ?profile ?sched prog ~nprocs ~block =
+(* one pipeline stage in its own ambient span, which notes the stage's
+   event count as an [events] attribute; with no recorder installed the
+   stage runs bare and the count is never taken *)
+let stage name ~events f =
+  match Span.current () with
+  | None -> f ()
+  | Some _ ->
+    Span.timed name (fun () ->
+        let r = f () in
+        Span.note "events" (string_of_int (events r));
+        r)
+
+let run ?options ?plan ?sched prog ~nprocs ~block =
   Span.timed "pipeline"
     ~attrs:
       [ ("nprocs", string_of_int nprocs); ("block", string_of_int block) ]
   @@ fun () ->
-  let profile = match profile with Some p -> p | None -> Profile.create () in
   let metrics = Metrics.create () in
   let rsd_limit, static_profile =
     match options with
     | Some (o : T.options) -> (o.rsd_limit, o.profile)
     | None -> (T.default_options.rsd_limit, T.default_options.profile)
   in
-  (* the analyses are timed stage by stage; the transform pass re-runs them
-     internally, so its entry reflects the full planning cost.  Each stage
-     also opens an ambient span, so a telemetry-enabled caller sees the
-     same names as the profile, arranged causally. *)
-  Span.timed "pdv" (fun () ->
-      ignore
-        (Profile.time profile "pdv"
-           ~events:(fun _ -> List.length prog.Fs_ir.Ast.funcs)
-           (fun () -> Pdv.analyze prog)));
-  Span.timed "non-concurrency" (fun () ->
-      ignore
-        (Profile.time profile "non-concurrency"
-           ~events:Nonconcurrency.phase_count
-           (fun () -> Nonconcurrency.analyze prog)));
-  Span.timed "summary" (fun () ->
-      ignore
-        (Profile.time profile "summary"
-           ~events:(fun s -> List.length (Summary.keys s))
-           (fun () ->
-             Summary.analyze ~rsd_limit ~profile:static_profile prog ~nprocs)));
+  (* the analyses are timed stage by stage; the transform pass re-runs
+     them internally, so its span reflects the full planning cost *)
+  ignore
+    (stage "pdv"
+       ~events:(fun _ -> List.length prog.Fs_ir.Ast.funcs)
+       (fun () -> Pdv.analyze prog));
+  ignore
+    (stage "non-concurrency" ~events:Nonconcurrency.phase_count (fun () ->
+         Nonconcurrency.analyze prog));
+  ignore
+    (stage "summary"
+       ~events:(fun s -> List.length (Summary.keys s))
+       (fun () -> Summary.analyze ~rsd_limit ~profile:static_profile prog ~nprocs));
   let report =
-    Span.timed "transform" (fun () ->
-        Profile.time profile "transform"
-          ~events:(fun (r : T.report) -> List.length r.plan)
-          (fun () -> T.plan ?options prog ~nprocs))
+    stage "transform"
+      ~events:(fun (r : T.report) -> List.length r.plan)
+      (fun () -> T.plan ?options prog ~nprocs)
   in
   Span.note "plan_actions" (string_of_int (List.length report.T.plan));
   let plan = Option.value plan ~default:report.T.plan in
   let layout =
-    Span.timed "layout" (fun () ->
-        Profile.time profile "layout" ~events:Layout.size (fun () ->
-            Layout.realize prog plan ~block))
+    stage "layout" ~events:Layout.size (fun () -> Layout.realize prog plan ~block)
   in
   let recorded =
-    Span.timed "interp" (fun () ->
-        Profile.time profile "interp"
-          ~events:(fun (r : Sim.recorded) ->
-            Array.fold_left ( + ) 0 r.interp.Interp.accesses)
-          (fun () -> Sim.record ?sched prog ~nprocs))
+    stage "interp"
+      ~events:(fun (r : Sim.recorded) -> Cell_trace.length r.trace)
+      (fun () -> Sim.record ?sched prog ~nprocs)
   in
   let trace = recorded.Sim.trace in
   (* the cache's set-up and read-out belong to its layer too *)
   let cache, per_block =
-    Span.timed "replay+cache"
-      ~attrs:[ ("events", string_of_int (Cell_trace.length trace)) ]
+    stage "replay+cache"
+      ~events:(fun _ -> Cell_trace.length trace)
       (fun () ->
-        Profile.time profile "replay+cache"
-          ~events:(fun _ -> Cell_trace.length trace)
-          (fun () ->
-            let cache =
-              Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-                (Mpcache.default_config ~nprocs ~block)
-            in
-            ignore (Replay.simulate trace ~layout ~cache);
-            let proc_counts = Mpcache.proc_counts cache in
-            ingest_interp metrics ~proc_counts trace;
-            let per_block = Mpcache.per_block cache in
-            ingest_cache metrics ~proc_counts ~per_block;
-            (cache, per_block)))
+        let cache =
+          Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
+            (Mpcache.default_config ~nprocs ~block)
+        in
+        ignore (Replay.simulate trace ~layout ~cache);
+        let proc_counts = Mpcache.proc_counts cache in
+        ingest_interp metrics ~proc_counts trace;
+        let per_block = Mpcache.per_block cache in
+        ingest_cache metrics ~proc_counts ~per_block;
+        (cache, per_block))
   in
   {
     report;
@@ -176,16 +168,4 @@ let run ?options ?plan ?profile ?sched prog ~nprocs ~block =
       { Sim.counts = Mpcache.counts cache; per_block;
         layout_bytes = Layout.size layout; interp = recorded.Sim.interp };
     metrics;
-    profile;
   }
-
-let to_json t =
-  Json.Obj
-    [ ("plan",
-       Json.List
-         (List.map
-            (fun a -> Json.String (Format.asprintf "%a" Fs_layout.Plan.pp_action a))
-            t.report.T.plan));
-      ("counts", Emit.counts t.cache.Sim.counts);
-      ("profile", Profile.to_json t.profile);
-      ("metrics", Metrics.to_json t.metrics) ]

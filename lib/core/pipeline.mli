@@ -2,8 +2,11 @@
 
     Runs every stage — the PDV and non-concurrency analyses, side-effect
     summarization, transformation planning, layout realization, and
-    interpretation with cache simulation — under a {!Fs_obs.Profile}
-    wall-clock profiler, and collects a {!Fs_obs.Metrics} registry holding
+    interpretation with cache simulation — each in an ambient
+    {!Fs_obs.Span} named after the stage (["pdv"], ["non-concurrency"],
+    ["summary"], ["transform"], ["layout"], ["interp"], ["replay+cache"])
+    under a ["pipeline"] span, with the stage's event count as an
+    ["events"] attribute; and collects a {!Fs_obs.Metrics} registry holding
     the interpreter's work and synchronization counters and the cache's
     per-processor miss, invalidation, and upgrade counts.
 
@@ -20,23 +23,17 @@ type t = {
   report : Fs_transform.Transform.report;
   cache : Sim.cache_run;
   metrics : Fs_obs.Metrics.t;
-  profile : Fs_obs.Profile.t;
 }
 
 val run :
   ?options:Fs_transform.Transform.options ->
   ?plan:Fs_layout.Plan.t ->
-  ?profile:Fs_obs.Profile.t ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->
   nprocs:int ->
   block:int ->
   t
 (** [plan] overrides the compiler's plan for the simulated layout (the
-    compiler analysis still runs and is profiled); by default the
-    compiler's own plan is simulated.  [profile] lets the caller
-    pre-record phases of its own (e.g. parsing) into the same table.
-    [sched] seeds the work-stealing runtime; required for programs using
-    [spawn]/[sync]. *)
-
-val to_json : t -> Fs_obs.Json.t
+    compiler analysis still runs and is timed); by default the
+    compiler's own plan is simulated.  [sched] seeds the work-stealing
+    runtime; required for programs using [spawn]/[sync]. *)

@@ -9,7 +9,10 @@
      produces bit-identical final shared memory.  The scheduler is
      layout-independent, so even racy programs must agree exactly: any
      difference would mean a transformation changed program semantics;
-   - the concrete syntax round-trips. *)
+   - the concrete syntax round-trips;
+   - the replay engine's counts equal the reference coherence model's
+     (Legacy_cache) on generated programs and on the workloads, under
+     random plans, block sizes, associativities and cache sizes. *)
 
 open Fs_ir
 module Interp = Fs_interp.Interp
@@ -214,7 +217,140 @@ let test_fuzz_parse_roundtrip =
       let s2 = Pp.program_to_string (Fs_parc.Parser.parse s1) in
       s1 = s2)
 
+(* ------------------------------------------------------------------ *)
+(* The engine against the reference model                              *)
+
+module C = Fs_cache.Mpcache
+module Ws = Fs_workloads.Workloads
+
+type source = Workload of int | Generated of Ast.program
+
+(* [Subset keep]: the compiler plan's actions whose index [keep] marks *)
+type plan_draw = N | Cplan | Subset of bool list
+
+type draw = {
+  source : source;
+  plan_draw : plan_draw;
+  block : int;
+  assoc : int;
+  cache_bytes : int;
+}
+
+let blocks = [| 16; 64; 128 |]
+let assocs = [| 1; 4 |]
+
+(* 3 KB makes the set count a non-power of two (6, 12 or 48 sets with
+   four ways, 24, 48 or 192 with one): the engine's [mod] set index
+   rather than its mask *)
+let cache_sizes = [| 1024; 3 * 1024; 32 * 1024 |]
+
+let workloads = Array.of_list Ws.every
+
+(* recordings and compiler plans: each workload's once, at scale 1 *)
+let recording_of =
+  let memo = Hashtbl.create 16 in
+  fun source ->
+    let compute prog sched =
+      let trace, _ = Interp.record ?sched prog ~nprocs in
+      (prog, trace, (T.plan prog ~nprocs).T.plan)
+    in
+    match source with
+    | Generated prog -> compute prog None
+    | Workload i -> (
+      match Hashtbl.find_opt memo i with
+      | Some r -> r
+      | None ->
+        let w = workloads.(i) in
+        let sched =
+          if w.Fs_workloads.Workload.dynamic then
+            Some (Fs_sched.Sched.seeded 1)
+          else None
+        in
+        let r = compute (w.build ~nprocs ~scale:1) sched in
+        Hashtbl.add memo i r;
+        r)
+
+let plan_of cplan = function
+  | N -> Plan.empty
+  | Cplan -> cplan
+  | Subset keep ->
+    List.filteri
+      (fun k _ -> match List.nth_opt keep k with Some b -> b | None -> false)
+      cplan
+
+let index_of a x =
+  let rec go k = if a.(k) = x then k else go (k + 1) in
+  go 0
+
+let gen_draw =
+  let open QCheck.Gen in
+  let* source =
+    frequency
+      [ (3, map (fun i -> Workload i) (int_bound (Array.length workloads - 1)));
+        (2, map (fun p -> Generated p) gen_program) ]
+  in
+  let* plan_draw =
+    frequency
+      [ (1, return N); (1, return Cplan);
+        (2, map (fun keep -> Subset keep) (list_repeat 24 bool)) ]
+  in
+  let* block = oneofa blocks in
+  let* assoc = oneofa assocs in
+  let* cache_bytes = oneofa cache_sizes in
+  return { source; plan_draw; block; assoc; cache_bytes }
+
+(* toward the first workload, the empty plan, fewer kept actions and
+   the first entry of each dimension's table *)
+let shrink_draw d yield =
+  let shrink_index a x f =
+    QCheck.Shrink.int (index_of a x) (fun k -> yield (f a.(k)))
+  in
+  (match d.source with
+   | Workload i -> QCheck.Shrink.int i (fun j -> yield { d with source = Workload j })
+   | Generated _ -> ());
+  (match d.plan_draw with
+   | N -> ()
+   | Cplan -> yield { d with plan_draw = N }
+   | Subset keep ->
+     yield { d with plan_draw = N };
+     List.iteri
+       (fun k b ->
+         if b then
+           yield
+             { d with plan_draw = Subset (List.mapi (fun j b -> b && j <> k) keep) })
+       keep);
+  shrink_index blocks d.block (fun block -> { d with block });
+  shrink_index assocs d.assoc (fun assoc -> { d with assoc });
+  shrink_index cache_sizes d.cache_bytes (fun cache_bytes -> { d with cache_bytes })
+
+let print_draw d =
+  let prog, _, cplan = recording_of d.source in
+  Printf.sprintf "%s\nplan: %s\nblock %d B, %d-way, %d B per cache"
+    (match d.source with
+     | Workload i -> workloads.(i).Fs_workloads.Workload.name
+     | Generated _ -> Pp.program_to_string prog)
+    (Format.asprintf "%a" Plan.pp (plan_of cplan d.plan_draw))
+    d.block d.assoc d.cache_bytes
+
+let test_engine_vs_reference =
+  QCheck.Test.make ~name:"engine counts = reference cache model" ~count:400
+    (QCheck.make ~print:print_draw ~shrink:shrink_draw gen_draw)
+    (fun d ->
+      let prog, trace, cplan = recording_of d.source in
+      let layout = Layout.realize prog (plan_of cplan d.plan_draw) ~block:d.block in
+      let config =
+        { C.nprocs; block = d.block; assoc = d.assoc; cache_bytes = d.cache_bytes }
+      in
+      let cache = C.create ~max_addr:(Layout.size layout) config in
+      let run = Fs_replay.Replay.simulate trace ~layout ~cache in
+      let reference = Legacy_cache.create config in
+      Tutil.listener_replay trace ~layout
+        ~listener:(Fs_trace.Listener.of_sink (Legacy_cache.sink reference));
+      run.Fs_replay.Replay.counts = Legacy_cache.counts reference
+      && C.proc_counts cache = Legacy_cache.proc_counts reference)
+
 let suite =
   [ QCheck_alcotest.to_alcotest test_fuzz_transparency;
     QCheck_alcotest.to_alcotest test_fuzz_layout_disjoint;
-    QCheck_alcotest.to_alcotest test_fuzz_parse_roundtrip ]
+    QCheck_alcotest.to_alcotest test_fuzz_parse_roundtrip;
+    QCheck_alcotest.to_alcotest test_engine_vs_reference ]

@@ -6,7 +6,7 @@
 open Fs_ir.Dsl
 module Json = Fs_obs.Json
 module Metrics = Fs_obs.Metrics
-module Profile = Fs_obs.Profile
+module Span = Fs_obs.Span
 module Timeline = Fs_obs.Timeline
 module Emit = Falseshare.Emit
 module Blame = Falseshare.Blame
@@ -422,30 +422,6 @@ let test_heatmap_edges () =
    | _ -> Alcotest.fail "unexpected all-zero shape")
 
 (* ------------------------------------------------------------------ *)
-(* Profile                                                             *)
-
-let test_profile () =
-  let p = Profile.create () in
-  let r = Profile.time p "a" ~events:(fun x -> x) (fun () -> 3) in
-  Alcotest.(check int) "result passed through" 3 r;
-  ignore (Profile.time p "b" (fun () -> ()));
-  ignore (Profile.time p "a" ~events:(fun x -> x) (fun () -> 4));
-  (match Profile.entries p with
-   | [ ea; eb ] ->
-     Alcotest.(check string) "order" "a" ea.Profile.name;
-     Alcotest.(check int) "events accumulate" 7 ea.Profile.events;
-     Alcotest.(check int) "default events" 0 eb.Profile.events;
-     Alcotest.(check bool) "nonnegative time" true (ea.Profile.seconds >= 0.)
-   | es -> Alcotest.fail (Printf.sprintf "%d entries" (List.length es)));
-  (* a phase that raises is still recorded *)
-  (try ignore (Profile.time p "boom" (fun () -> failwith "x")) with Failure _ -> ());
-  Alcotest.(check int) "exn phase recorded" 3 (List.length (Profile.entries p));
-  let j = parse_ok "profile json" (Json.to_string (Profile.to_json p)) in
-  match Json.get_list j with
-  | Some entries -> Alcotest.(check int) "json entries" 3 (List.length entries)
-  | None -> Alcotest.fail "profile json not a list"
-
-(* ------------------------------------------------------------------ *)
 (* Timeline: structurally valid Chrome trace JSON                      *)
 
 let test_timeline () =
@@ -676,13 +652,45 @@ let test_blame_agrees_with_attribution () =
 let test_pipeline () =
   let nprocs = 4 in
   let prog = fs_prog ~nprocs in
-  let r = Falseshare.Pipeline.run prog ~nprocs ~block:64 in
-  let names = List.map (fun e -> e.Profile.name) (Profile.entries r.Falseshare.Pipeline.profile) in
-  List.iter
-    (fun phase ->
-      if not (List.mem phase names) then Alcotest.fail ("missing phase " ^ phase))
+  let recorder = Span.create () in
+  Span.set_current (Some recorder);
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Span.set_current None)
+      (fun () -> Falseshare.Pipeline.run prog ~nprocs ~block:64)
+  in
+  (* one pipeline span whose children are the seven stages, in order,
+     each noting its event count *)
+  let spans = Span.spans recorder in
+  let pipeline =
+    match List.filter (fun (sp : Span.span) -> sp.name = "pipeline") spans with
+    | [ sp ] -> sp
+    | l -> Alcotest.fail (Printf.sprintf "%d pipeline spans" (List.length l))
+  in
+  let stages =
+    List.filter (fun (sp : Span.span) -> sp.parent = pipeline.id) spans
+  in
+  Alcotest.(check (list string)) "stage spans"
     [ "pdv"; "non-concurrency"; "summary"; "transform"; "layout"; "interp";
-      "replay+cache" ];
+      "replay+cache" ]
+    (List.map (fun (sp : Span.span) -> sp.name) stages);
+  let events name =
+    let sp = List.find (fun (sp : Span.span) -> sp.name = name) stages in
+    match List.assoc_opt "events" sp.attrs with
+    | Some v -> int_of_string v
+    | None -> Alcotest.fail (name ^ ": no events attribute")
+  in
+  Alcotest.(check int) "pdv events = functions"
+    (List.length prog.Fs_ir.Ast.funcs) (events "pdv");
+  ignore (events "non-concurrency");
+  ignore (events "summary");
+  Alcotest.(check int) "transform events = plan actions"
+    (List.length r.report.Fs_transform.Transform.plan) (events "transform");
+  Alcotest.(check int) "layout events = layout bytes"
+    r.cache.Sim.layout_bytes (events "layout");
+  Alcotest.(check bool) "interp records events" true (events "interp" > 0);
+  Alcotest.(check int) "replay+cache replays what interp recorded"
+    (events "interp") (events "replay+cache");
   (* metrics carry the cache's totals *)
   let total = ref 0 in
   for p = 0 to nprocs - 1 do
@@ -692,10 +700,7 @@ let test_pipeline () =
           (Metrics.counter r.metrics ~labels:[ ("proc", string_of_int p) ]
              "cache_accesses")
   done;
-  Alcotest.(check int) "metrics match cache" (C.accesses r.cache.Sim.counts) !total;
-  let j = parse_ok "pipeline json" (Json.to_string (Falseshare.Pipeline.to_json r)) in
-  Alcotest.(check bool) "has profile" true (Json.member "profile" j <> None);
-  Alcotest.(check bool) "has metrics" true (Json.member "metrics" j <> None)
+  Alcotest.(check int) "metrics match cache" (C.accesses r.cache.Sim.counts) !total
 
 (* The pipeline's interp_* counters against the per-event reference: for
    every workload, version and block size, the interp_* entries of
@@ -794,7 +799,6 @@ let suite =
     Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "heatmap" `Quick test_heatmap;
     Alcotest.test_case "heatmap edges" `Quick test_heatmap_edges;
-    Alcotest.test_case "profile" `Quick test_profile;
     Alcotest.test_case "timeline chrome trace" `Quick test_timeline;
     Alcotest.test_case "timeline counter track" `Quick test_timeline_counter;
     Alcotest.test_case "emit sim round-trip" `Quick test_emit_sim_roundtrip;

@@ -4,6 +4,7 @@ module Plan = Fs_layout.Plan
 module Mpcache = Fs_cache.Mpcache
 module Table = Fs_util.Table
 module Par = Fs_util.Par
+module Memo = Fs_util.Memo
 module Span = Fs_obs.Span
 
 type version = Workload.version
@@ -14,24 +15,16 @@ type version = Workload.version
    nprocs, scale).  The memo trusts that [prog] is the workload's build
    at that configuration, which is how every caller obtains it.          *)
 
-let plan_cache : (string * version * int * int, Plan.t) Hashtbl.t =
-  Hashtbl.create 32
-
-let plan_lock = Mutex.create ()
+let plans : (string * version * int * int, Plan.t) Memo.t =
+  Memo.create ()
 
 let plan_for (w : Workload.t) version prog ~nprocs ~scale =
   if nprocs <= 1 then Plan.empty
   else
     match version with
     | Workload.N -> Plan.empty
-    | Workload.C | Workload.P -> (
-      let key = (w.name, version, nprocs, scale) in
-      match
-        Mutex.protect plan_lock (fun () -> Hashtbl.find_opt plan_cache key)
-      with
-      | Some plan -> plan
-      | None ->
-        let plan =
+    | Workload.C | Workload.P ->
+      Memo.get plans (w.name, version, nprocs, scale) (fun () ->
           match version with
           | Workload.C -> Sim.compiler_plan prog ~nprocs
           | Workload.P -> (
@@ -39,11 +32,7 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
             | Some f -> f ~nprocs ~scale
             | None ->
               invalid_arg (w.name ^ " has no programmer-optimized version"))
-          | Workload.N -> assert false
-        in
-        Mutex.protect plan_lock (fun () ->
-            Hashtbl.replace plan_cache key plan);
-        plan)
+          | Workload.N -> assert false)
 
 let recorded_of (e : Trace_memo.entry) =
   { Sim.trace = e.trace; interp = e.interp }
@@ -255,72 +244,27 @@ let default_procs = [ 1; 2; 4; 8; 12; 16; 20; 24; 28; 32; 40; 48; 56 ]
    (workload, nprocs) trace: the three versions differ only in layout.
    Cycle counts are memoized process-wide — Figure 4, Table 3 and the
    execution-time sweep largely ask for the same runs. *)
-let cycles_cache : (string * version * int * int, int) Hashtbl.t =
-  Hashtbl.create 64
-
-let cycles_lock = Mutex.create ()
+let cycles : (string * version * int * int, int) Memo.t =
+  Memo.create ()
 
 let cycles_table ?jobs (triples : (Workload.t * version * int) list) =
   Span.timed "cycles-table"
     ~attrs:[ ("runs", string_of_int (List.length triples)) ]
   @@ fun () ->
-  let seen = Hashtbl.create 64 in
-  let deduped =
-    List.filter
-      (fun ((w : Workload.t), version, nprocs) ->
-        let key = (w.name, version, nprocs) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      triples
+  let key ((w : Workload.t), version, nprocs) =
+    (w.name, version, nprocs, w.default_scale)
   in
-  let table = Hashtbl.create 64 in
-  let tasks =
-    Mutex.protect cycles_lock (fun () ->
-        List.filter
-          (fun ((w : Workload.t), version, nprocs) ->
-            match
-              Hashtbl.find_opt cycles_cache
-                (w.name, version, nprocs, w.default_scale)
-            with
-            | Some c ->
-              Hashtbl.replace table (w.name, version, nprocs) c;
-              false
-            | None -> true)
-          deduped)
+  let run ((w : Workload.t), version, nprocs) () =
+    let scale = w.default_scale in
+    let e = Trace_memo.get w ~nprocs ~scale in
+    let plan = plan_for w version e.prog ~nprocs ~scale in
+    (Sim.machine_sim ~recorded:(recorded_of e) e.prog plan ~nprocs)
+      .Sim.machine.Fs_machine.Ksr.cycles
   in
-  let entries =
-    Trace_memo.get_all ?jobs
-      (List.map
-         (fun ((w : Workload.t), _, nprocs) -> (w, nprocs, w.default_scale))
-         tasks)
-  in
-  (* plans are computed on the calling domain (the transform pass is the
-     compiler; replay tasks only consume its output) *)
-  let prepped =
-    List.map2
-      (fun ((w : Workload.t), version, nprocs) (e : Trace_memo.entry) ->
-        let plan = plan_for w version e.prog ~nprocs ~scale:w.default_scale in
-        (w, version, nprocs, e, plan))
-      tasks entries
-  in
-  let results =
-    Par.map ?jobs
-      (fun ((w : Workload.t), version, nprocs, (e : Trace_memo.entry), plan) ->
-        let r = Sim.machine_sim ~recorded:(recorded_of e) e.prog plan ~nprocs in
-        ((w.name, version, nprocs, w.default_scale),
-         r.Sim.machine.Fs_machine.Ksr.cycles))
-      prepped
-  in
-  Mutex.protect cycles_lock (fun () ->
-      List.iter
-        (fun (((name, version, nprocs, _) as key), cycles) ->
-          Hashtbl.replace cycles_cache key cycles;
-          Hashtbl.replace table (name, version, nprocs) cycles)
-        results);
-  fun (w : Workload.t) version nprocs -> Hashtbl.find table (w.name, version, nprocs)
+  ignore (Memo.get_all ?jobs cycles (List.map (fun t -> (key t, run t)) triples));
+  fun w version nprocs ->
+    let t = (w, version, nprocs) in
+    Memo.get cycles (key t) (run t)
 
 let speedups ?(procs = default_procs) ?names ?jobs () =
   Span.timed "speedups" @@ fun () ->

@@ -1,7 +1,6 @@
 module Ast = Fs_ir.Ast
 module Cells = Fs_ir.Cells
 module Layout = Fs_layout.Layout
-module Listener = Fs_trace.Listener
 module Cell_listener = Fs_trace.Cell_listener
 module Cell_trace = Fs_trace.Cell_trace
 module Sched = Fs_sched.Sched
@@ -986,7 +985,7 @@ let compile ctx ~int_priv =
    per-process handlers for the frequent effects are built once. *)
 
 let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~cells =
-  if nprocs <= 0 then invalid_arg "Interp.run: nprocs must be positive";
+  if nprocs <= 0 then invalid_arg "Interp.run_cells: nprocs must be positive";
   (match Fs_ir.Validate.check prog with
    | Ok () -> ()
    | Error errs -> raise (Fs_ir.Validate.Invalid_program errs));
@@ -1250,16 +1249,6 @@ let record ?max_steps ?sched prog ~nprocs =
   let r = run_cells ?max_steps ?sched prog ~nprocs ~cells:(Cell_trace.recorder trace) in
   Cell_trace.compact trace;
   (trace, r)
-
-let run ?max_steps ?sched prog ~nprocs ~layout ~listener =
-  (* the direct path: translation through the layout's address oracle
-     happens inline, as each event is produced *)
-  let oracle = Fs_replay.Replay.oracle layout ~vars:(vars prog) in
-  run_cells ?max_steps ?sched prog ~nprocs
-    ~cells:(Fs_replay.Replay.translating oracle listener)
-
-let run_to_sink ?max_steps ?sched prog ~nprocs ~layout ~sink =
-  run ?max_steps ?sched prog ~nprocs ~layout ~listener:(Listener.of_sink sink)
 
 let read_global r name cell =
   match Hashtbl.find_opt r.store name with

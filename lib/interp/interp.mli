@@ -22,15 +22,12 @@
     reports it through a {!Fs_trace.Cell_listener}.  Locks are likewise
     identified by cell, so the schedule is a property of the program
     alone and one interpreted execution can be re-laid-out arbitrarily
-    often.  {!record} captures the stream as a {!Fs_trace.Cell_trace} for
-    replay; {!run} is the direct path, wiring the cell stream through
-    [Fs_replay.Replay.translating] inline so consumers see byte
-    addresses — when the layout carries an indirection, the injected
-    pointer load is emitted before the data access.  Spin waiting on a
-    contended lock is modelled as test-and-test-and-set: the initial
-    probe read, then silence while spinning on the locally cached copy,
-    then the re-read and the acquiring write when the lock is handed
-    over. *)
+    often: {!record} captures the stream as a {!Fs_trace.Cell_trace},
+    and [Fs_replay.Replay] maps it to byte addresses under each layout.
+    Spin waiting on a contended lock is modelled as test-and-test-and-set:
+    the initial probe read, then silence while spinning on the locally
+    cached copy, then the re-read and the acquiring write when the lock
+    is handed over. *)
 
 exception Runtime_error of string
 exception Deadlock of string
@@ -53,14 +50,24 @@ val run_cells :
   nprocs:int ->
   cells:Fs_trace.Cell_listener.t ->
   result
-(** The layout-free core: one interpreted execution, events delivered at
-    cell granularity.  Everything else is a wrapper.
+(** One interpreted execution, events delivered at cell granularity;
+    {!record} is the wrapper that captures them.
+
+    A process executes 12 work units between scheduling points (an
+    access costs 3 units, other statements 1).  The count is a fixed
+    constant, not an option: it shapes the interleaving, and so every
+    recorded trace.  [max_steps] (default 400 million) bounds total work.
 
     [sched] seeds the deterministic work-stealing runtime executing any
     [spawn]/[sync] in the program (see {!Fs_sched.Sched}); running a
     task-parallel program without it is a [Runtime_error] — never a
     silent default, because the seed is part of the experiment's
-    identity.  For programs without tasks, [sched] is ignored. *)
+    identity.  For programs without tasks, [sched] is ignored.
+
+    @raise Runtime_error on dynamic errors (bad index, float index,
+      division by zero, unlock of a lock not held, missing return value)
+    @raise Deadlock when no process can make progress
+    @raise Nontermination when [max_steps] is exceeded *)
 
 val record :
   ?max_steps:int ->
@@ -75,35 +82,6 @@ val record :
 
 val vars : Fs_ir.Ast.program -> string array
 (** Variable ids in declaration order, as used by cell events. *)
-
-val run :
-  ?max_steps:int ->
-  ?sched:Fs_sched.Sched.config ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  layout:Fs_layout.Layout.t ->
-  listener:Fs_trace.Listener.t ->
-  result
-(** A process executes 12 work units between scheduling points (an
-    access costs 3 units, other statements 1).  The count is a fixed
-    constant, not an option: it shapes the interleaving, and so every
-    recorded trace.  [max_steps] (default 400 million) bounds total work.
-
-    @raise Runtime_error on dynamic errors (bad index, float index,
-      division by zero, unlock of a lock not held, missing return value)
-    @raise Deadlock when no process can make progress
-    @raise Nontermination when [max_steps] is exceeded *)
-
-val run_to_sink :
-  ?max_steps:int ->
-  ?sched:Fs_sched.Sched.config ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  layout:Fs_layout.Layout.t ->
-  sink:Fs_trace.Sink.t ->
-  result
-(** Convenience wrapper around {!run} for consumers that only need memory
-    references. *)
 
 val read_global : result -> string -> int -> Value.t
 (** [read_global r name cell] reads a cell of the final shared memory.

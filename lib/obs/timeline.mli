@@ -2,7 +2,8 @@
     trace-event JSON (loadable in Perfetto or chrome://tracing).
 
     The recorder is a {!Fs_trace.Listener.t}: attach it (possibly combined
-    with the cache or machine listener) to an [Interp.run] and it captures
+    with the cache or machine listener) to a listener replay
+    ([Fs_replay.Replay.drive]) and it captures
 
     - per-processor {b work segments} — one duration slice per batch of
       work units, annotated with the accesses issued since the previous

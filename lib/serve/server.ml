@@ -8,6 +8,7 @@ module Json = Fs_obs.Json
 module Span = Fs_obs.Span
 module Metrics = Fs_obs.Metrics
 module Par = Fs_util.Par
+module Singleflight = Fs_util.Singleflight
 
 (* a client's fault: becomes a 400 with this message *)
 exception Client_error of string
@@ -61,7 +62,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
   store : Store.t;
-  sf : (string * bool) Singleflight.t;  (* key -> (payload, served-from-store) *)
+  sf : (string, string * bool) Singleflight.t;  (* key -> (payload, served-from-store) *)
   queue : job Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
@@ -228,14 +229,21 @@ let parse_params endpoint (req : Http.request) =
       | Some n -> Some n
       | None -> client_err "field \"sched_seed\" must be an integer")
   in
+  (* the layout, the cache's arrays and the interpreter's store all
+     grow linearly with scale, and the program is built inside the
+     request *)
+  let scale_field default =
+    let scale = int_field "scale" default in
+    if scale < 1 || scale > 64 then client_err "scale must be in 1..64";
+    scale
+  in
   let workload, prog, scale, wname =
     match (str_field "workload", str_field "source") with
     | Some _, Some _ -> client_err "give either \"workload\" or \"source\", not both"
     | Some name, None -> (
       match Ws.find name with
       | w ->
-        let scale = int_field "scale" w.W.default_scale in
-        if scale < 1 then client_err "scale must be positive";
+        let scale = scale_field w.W.default_scale in
         (Some w, w.W.build ~nprocs ~scale, scale, w.W.name)
       | exception Not_found ->
         let names = List.map (fun w -> w.W.name) Ws.every in
@@ -254,7 +262,7 @@ let parse_params endpoint (req : Http.request) =
            grafted on here, like the registered dynamic workloads do in
            their builders (instrument is the identity otherwise) *)
         let prog = Fs_sched.Sched.instrument ~nprocs prog in
-        (None, prog, int_field "scale" 1, "<source>")
+        (None, prog, scale_field 1, "<source>")
       | Error errs -> client_err "source does not validate: %s" (String.concat "; " errs))
     | None, None ->
       client_err "body must name a \"workload\" or carry ParC \"source\""
@@ -625,7 +633,7 @@ let statusz t =
         !entries)
   in
   let store_stats = Store.stats t.store in
-  let mh, mm, me, md = Trace_memo.read_stats () in
+  let memo = Trace_memo.stats () in
   Json.to_string ~compact:false
     (Json.Obj
        [ ("ok", Json.Bool true);
@@ -652,11 +660,10 @@ let statusz t =
                ("entries", Json.Int store_stats.entries) ] );
          ( "memo",
            Json.Obj
-             [ ("hits", Json.Int mh);
-               ("misses", Json.Int mm);
-               ("evictions", Json.Int me);
-               ("disk_loads", Json.Int md);
-               ("coalesced", Json.Int (Trace_memo.read_coalesced ())) ] );
+             [ ("hits", Json.Int memo.Fs_util.Memo.hits);
+               ("misses", Json.Int memo.misses);
+               ("evictions", Json.Int memo.evictions);
+               ("coalesced", Json.Int memo.coalesced) ] );
          ( "workloads",
            Json.List
              (List.map

@@ -27,7 +27,7 @@
     (endpoint × program text × every resolved parameter): a repeated
     query is served from disk — no interpretation, no replay, and its
     span tree shows the store probe where the computation would be.
-    Identical requests {e in flight} coalesce through {!Singleflight},
+    Identical requests {e in flight} coalesce through {!Fs_util.Singleflight},
     so N tenants asking the same question while it is being computed
     cost one computation.
 

@@ -253,7 +253,7 @@ let test_f_layout_transparency () =
       let run plan =
         let layout = Layout.realize prog plan ~block:128 in
         let r =
-          Interp.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null
+          Tutil.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null
         in
         Interp.read_global r (checksum_global w) 0
       in

@@ -170,7 +170,7 @@ let arbitrary_program =
 
 let final_memory prog plan =
   let layout = Layout.realize prog plan ~block:64 in
-  let r = Interp.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
+  let r = Tutil.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
   List.map
     (fun (name, _) ->
       let values = Hashtbl.find r.Interp.store name in

@@ -11,7 +11,7 @@ module Listener = Fs_trace.Listener
 
 let run ?(nprocs = 1) ?(plan = []) ?(block = 64) prog ~sink =
   let layout = Layout.realize prog plan ~block in
-  Interp.run_to_sink prog ~nprocs ~layout ~sink
+  Tutil.run_to_sink prog ~nprocs ~layout ~sink
 
 let run_quiet ?nprocs ?plan ?block prog = run ?nprocs ?plan ?block prog ~sink:Sink.null
 
@@ -246,7 +246,7 @@ let test_nontermination_guard () =
   in
   let layout = Layout.default p ~block:64 in
   match
-    Interp.run ~max_steps:10_000 p ~nprocs:1 ~layout ~listener:Listener.null
+    Tutil.run ~max_steps:10_000 p ~nprocs:1 ~layout ~listener:Listener.null
   with
   | _ -> Alcotest.fail "expected nontermination guard"
   | exception Interp.Nontermination _ -> ()
@@ -268,7 +268,7 @@ let test_listener_events () =
     }
   in
   let layout = Layout.default p ~block:64 in
-  let _ = Interp.run p ~nprocs:3 ~layout ~listener in
+  let _ = Tutil.run p ~nprocs:3 ~layout ~listener in
   Alcotest.(check int) "three grants" 3 !grants;
   Alcotest.(check bool) "some contention" true (!waits >= 1);
   Alcotest.(check int) "one release" 1 !releases;

@@ -10,7 +10,7 @@ let run ?config ?(plan = []) prog ~nprocs =
   let config = match config with Some c -> c | None -> Ksr.default_config ~nprocs in
   let layout = Layout.realize prog plan ~block:config.Ksr.block in
   let m = Ksr.create config in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(Ksr.listener m) in
+  let _ = Tutil.run prog ~nprocs ~layout ~listener:(Ksr.listener m) in
   Ksr.finish m
 
 let dsl_prog globals funcs =

@@ -429,7 +429,7 @@ let test_timeline () =
   let prog = fs_prog ~nprocs in
   let layout = Layout.realize prog [] ~block:64 in
   let tl = Timeline.create ~nprocs in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(Timeline.listener tl) in
+  let _ = Tutil.run prog ~nprocs ~layout ~listener:(Timeline.listener tl) in
   Alcotest.(check bool) "recorded events" true (Timeline.events tl > 0);
   let j = parse_ok "trace json" (Json.to_string (Timeline.to_json tl)) in
   let events =

@@ -80,7 +80,7 @@ void main() {
     (* and it actually runs *)
     let layout = Fs_layout.Layout.default p ~block:64 in
     let r =
-      Fs_interp.Interp.run_to_sink p ~nprocs:4 ~layout ~sink:Fs_trace.Sink.null
+      Tutil.run_to_sink p ~nprocs:4 ~layout ~sink:Fs_trace.Sink.null
     in
     (match Fs_interp.Interp.read_global r "a" 0 with
      | Fs_interp.Value.Vint 1 -> ()

@@ -41,7 +41,7 @@ let capture acc : Listener.t =
 
 let direct_stream prog ~nprocs ~layout =
   let acc = ref [] in
-  let _ = Interp.run prog ~nprocs ~layout ~listener:(capture acc) in
+  let _ = Tutil.run prog ~nprocs ~layout ~listener:(capture acc) in
   List.rev !acc
 
 let replay_stream trace ~layout =
@@ -344,8 +344,9 @@ let test_memo_sharing () =
   let e2 = Memo.get w ~nprocs:4 ~scale:1 in
   Alcotest.(check bool) "second get shares the trace" true
     (e1.Memo.trace == e2.Memo.trace);
-  let hits, misses, _, _ = Memo.read_stats () in
-  Alcotest.(check (pair int int)) "one miss then one hit" (1, 1) (hits, misses);
+  let st = Memo.stats () in
+  Alcotest.(check (pair int int)) "one miss then one hit" (1, 1)
+    (st.hits, st.misses);
   (* get_all: duplicates collapse to one interpretation, order is kept *)
   Memo.clear ();
   let es = Memo.get_all ~jobs:2 [ (w, 4, 1); (w, 4, 1); (w, 2, 1) ] in
@@ -355,84 +356,8 @@ let test_memo_sharing () =
      Alcotest.(check int) "4-proc trace" 4 (Cell_trace.nprocs a.Memo.trace);
      Alcotest.(check int) "2-proc trace" 2 (Cell_trace.nprocs c.Memo.trace)
    | _ -> Alcotest.fail "expected three entries");
-  let _, misses, _, _ = Memo.read_stats () in
-  Alcotest.(check int) "two distinct interpretations" 2 misses;
+  Alcotest.(check int) "two distinct interpretations" 2 (Memo.stats ()).misses;
   Memo.clear ()
-
-let test_memo_eviction () =
-  Memo.clear ();
-  Memo.set_capacity 1;
-  let w = Ws.find "water" in
-  ignore (Memo.get w ~nprocs:2 ~scale:1);
-  ignore (Memo.get w ~nprocs:3 ~scale:1);
-  let _, _, evictions, _ = Memo.read_stats () in
-  Alcotest.(check int) "bounded cache evicts" 1 evictions;
-  Memo.set_capacity 128;
-  Memo.clear ()
-
-(* The memo under concurrent access from four domains: a tight capacity
-   forces evictions to race with hits across domains; the invariants are
-   that every worker gets a usable entry, bookkeeping balances (each
-   lookup is exactly one hit or one miss), and evictions never exceed
-   insertions. *)
-let test_memo_concurrent () =
-  Memo.clear ();
-  Memo.set_capacity 2;
-  let w = Ws.find "water" in
-  let scales = [| 1; 1; 1; 1 |] in
-  let lookups_per_worker = 8 in
-  let failures = Atomic.make 0 in
-  for _ = 1 to 3 do
-    Par.iter ~jobs:4
-      (fun worker ->
-        for i = 0 to lookups_per_worker - 1 do
-          (* workers hit overlapping keys so hits, misses, and
-             evictions all occur concurrently *)
-          let nprocs = 2 + ((worker + i) mod 3) in
-          let e = Memo.get w ~nprocs ~scale:scales.(worker mod 4) in
-          if Cell_trace.nprocs e.Memo.trace <> nprocs then
-            Atomic.incr failures
-        done)
-      [ 0; 1; 2; 3 ]
-  done;
-  Alcotest.(check int) "every entry usable" 0 (Atomic.get failures);
-  let hits, misses, evictions, _ = Memo.read_stats () in
-  let total = 3 * 4 * lookups_per_worker in
-  Alcotest.(check int) "every lookup is a hit or a miss" total (hits + misses);
-  Alcotest.(check bool)
-    (Printf.sprintf "evictions (%d) bounded by misses (%d)" evictions misses)
-    true
-    (evictions <= misses && evictions > 0);
-  Memo.set_capacity 128;
-  Memo.clear ()
-
-let test_memo_capture_dir () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fstrace-capture" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Memo.clear ();
-  Memo.set_capture_dir (Some dir);
-  let w = Ws.find "mp3d" in
-  let e1 = Memo.get w ~nprocs:4 ~scale:1 in
-  Memo.clear ();
-  (* a fresh memo finds the capture on disk instead of re-interpreting *)
-  Memo.set_capture_dir (Some dir);
-  let e2 = Memo.get w ~nprocs:4 ~scale:1 in
-  let _, _, _, disk_loads = Memo.read_stats () in
-  Alcotest.(check int) "loaded from disk" 1 disk_loads;
-  Alcotest.(check bool) "same trace" true
-    (Cell_trace.equal e1.Memo.trace e2.Memo.trace);
-  (* the interp summary is reconstructed from the event stream *)
-  Alcotest.(check bool) "summary rebuilt" true
-    (e1.Memo.interp.Interp.work = e2.Memo.interp.Interp.work
-    && e1.Memo.interp.Interp.accesses = e2.Memo.interp.Interp.accesses
-    && e1.Memo.interp.Interp.barrier_episodes
-       = e2.Memo.interp.Interp.barrier_episodes);
-  Memo.set_capture_dir None;
-  Memo.clear ();
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out determinism                                         *)
@@ -523,7 +448,7 @@ let test_ksr_engine_vs_interp () =
           let layout = Layout.realize prog plan ~block:config.Ksr.block in
           let m = Ksr.create config in
           let _ =
-            Interp.run ?sched prog ~nprocs ~layout ~listener:(Ksr.listener m)
+            Tutil.run ?sched prog ~nprocs ~layout ~listener:(Ksr.listener m)
           in
           let live = Ksr.finish m in
           let ints field a b =
@@ -556,10 +481,6 @@ let suite =
     Alcotest.test_case "trace disk round-trip edges" `Quick
       test_disk_roundtrip_edges;
     Alcotest.test_case "memo sharing" `Quick test_memo_sharing;
-    Alcotest.test_case "memo eviction" `Quick test_memo_eviction;
-    Alcotest.test_case "memo concurrent pool access" `Quick
-      test_memo_concurrent;
-    Alcotest.test_case "memo capture dir" `Quick test_memo_capture_dir;
     Alcotest.test_case "par map" `Quick test_par_map;
     Alcotest.test_case "jobs independence" `Quick test_jobs_independence;
     Alcotest.test_case "sim replay counts" `Quick test_sim_recorded_counts;

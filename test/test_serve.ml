@@ -10,7 +10,6 @@ open Fs_ir.Dsl
 module Srv = Fs_serve.Server
 module Http = Fs_serve.Http
 module Store = Fs_serve.Store
-module Sf = Fs_serve.Singleflight
 module Sha256 = Fs_util.Sha256
 module Memo = Falseshare.Trace_memo
 module W = Fs_workloads.Workload
@@ -254,64 +253,6 @@ let test_store_contention () =
   Alcotest.(check int) "index matches directory" st.Store.entries on_disk
 
 (* ------------------------------------------------------------------ *)
-(* Singleflight                                                        *)
-
-let test_singleflight () =
-  let sf = Sf.create () in
-  let gate = Mutex.create () in
-  let gcond = Condition.create () in
-  let entered = ref false and released = ref false in
-  let calls = Atomic.make 0 in
-  let work () =
-    Atomic.incr calls;
-    Mutex.protect gate (fun () ->
-        entered := true;
-        Condition.broadcast gcond;
-        while not !released do
-          Condition.wait gcond gate
-        done);
-    "payload"
-  in
-  let results = Array.make 3 ("?", `Joined) in
-  let spawn i = Thread.create (fun () -> results.(i) <- Sf.run sf "k" work) () in
-  let leader = spawn 0 in
-  (* wait until the leader is provably inside the computation… *)
-  Mutex.protect gate (fun () ->
-      while not !entered do
-        Condition.wait gcond gate
-      done);
-  (* …then send in the herd and let them reach the flight *)
-  let f1 = spawn 1 and f2 = spawn 2 in
-  Thread.delay 0.05;
-  Mutex.protect gate (fun () ->
-      released := true;
-      Condition.broadcast gcond);
-  List.iter Thread.join [ leader; f1; f2 ];
-  Alcotest.(check int) "one computation" 1 (Atomic.get calls);
-  Array.iter
-    (fun (v, _) -> Alcotest.(check string) "shared payload" "payload" v)
-    results;
-  let leds =
-    Array.to_list results
-    |> List.filter (fun (_, role) -> role = `Led)
-    |> List.length
-  in
-  Alcotest.(check int) "exactly one leader" 1 leds;
-  (* not a cache: after the flight lands, the next caller leads anew *)
-  released := true;
-  let v, role = Sf.run sf "k" (fun () -> Atomic.incr calls; "again") in
-  Alcotest.(check string) "fresh flight" "again" v;
-  Alcotest.(check bool) "fresh leader" true (role = `Led);
-  Alcotest.(check int) "second computation" 2 (Atomic.get calls);
-  (* a leader's exception reaches everyone — here, the only caller *)
-  (match Sf.run sf "boom" (fun () -> failwith "flight failed") with
-  | _ -> Alcotest.fail "exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "leader exn" "flight failed" m);
-  (* and the failed flight is retired: the key is reusable *)
-  let v, _ = Sf.run sf "boom" (fun () -> "recovered") in
-  Alcotest.(check string) "failed key reusable" "recovered" v
-
-(* ------------------------------------------------------------------ *)
 (* Trace memo in-flight coalescing                                     *)
 
 (* a workload whose build blocks on a gate: the leader can be held
@@ -368,9 +309,9 @@ let test_memo_coalescing () =
       Condition.broadcast gcond);
   List.iter Thread.join [ leader; f1; f2 ];
   Alcotest.(check int) "one build" 1 !entered;
-  let _, misses, _, _ = Memo.read_stats () in
-  Alcotest.(check int) "one miss" 1 misses;
-  Alcotest.(check int) "two coalesced" 2 (Memo.read_coalesced ());
+  let st = Memo.stats () in
+  Alcotest.(check int) "one miss" 1 st.misses;
+  Alcotest.(check int) "two coalesced" 2 st.coalesced;
   (match (entries.(0), entries.(1), entries.(2)) with
    | Some a, Some b, Some c ->
      Alcotest.(check bool) "same trace" true
@@ -384,8 +325,7 @@ let test_memo_coalescing_domains () =
   Memo.clear ();
   let w = Fs_workloads.Workloads.find "water" in
   let es = Fs_util.Par.map ~jobs:4 (fun _ -> Memo.get w ~nprocs:3 ~scale:1) (List.init 8 Fun.id) in
-  let _, misses, _, _ = Memo.read_stats () in
-  Alcotest.(check int) "one interpretation" 1 misses;
+  Alcotest.(check int) "one interpretation" 1 (Memo.stats ()).misses;
   (match es with
    | first :: rest ->
      List.iter
@@ -484,6 +424,12 @@ let test_server_end_to_end () =
       Alcotest.(check bool) "ring remembers requests" true
         (List.length recent >= 3);
       Tutil.check_contains "statusz lists workloads" st "water";
+      let memo = Option.get (Json.member "memo" sj) in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("memo reports " ^ k) true
+            (Option.is_some (Option.bind (Json.member k memo) Json.get_int)))
+        [ "hits"; "misses"; "coalesced"; "evictions" ];
       (* client errors *)
       let s, _, b = Http.request ~port ~body:{|{"workload":"wa ter"}|} "/analyze" in
       Alcotest.(check int) "unknown workload" 400 s;
@@ -506,6 +452,37 @@ let test_server_end_to_end () =
         Http.request ~port ~body:{|{"source":"shared int x;"}|} "/analyze"
       in
       Alcotest.(check int) "bad source" 400 s)
+
+(* The program is built inside the request and its layout grows with
+   scale, so a scale past the ceiling is refused before anything is
+   built, and the daemon goes on serving. *)
+let test_server_scale_ceiling () =
+  let cache_dir = fresh_dir "scale" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 2; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      List.iter
+        (fun body ->
+          let s, _, b = Http.request ~port ~body "/analyze" in
+          Alcotest.(check int) body 400 s;
+          Tutil.check_contains body b "scale must be in 1..64")
+        [ {|{"workload":"water","scale":1000000}|};
+          {|{"workload":"water","scale":65}|};
+          {|{"workload":"water","scale":0}|};
+          {|{"source":"program tiny; shared int c[4]; void main() { c[pid] = 1; }","scale":1000000}|} ];
+      let s, _, _ =
+        Http.request ~port
+          ~body:{|{"workload":"water","nprocs":2,"scale":1,"block":64}|}
+          "/analyze"
+      in
+      Alcotest.(check int) "next request served" 200 s;
+      let s, _, _ = Http.request ~port "/healthz" in
+      Alcotest.(check int) "still healthy" 200 s)
 
 (* Dynamic workloads over HTTP: no seed is a client error, the seed is
    part of the content address (distinct seeds never alias), and the same
@@ -655,11 +632,11 @@ let suite =
     Alcotest.test_case "store eviction" `Quick test_store_eviction;
     Alcotest.test_case "store quarantine" `Quick test_store_quarantine;
     Alcotest.test_case "store contention" `Quick test_store_contention;
-    Alcotest.test_case "singleflight" `Quick test_singleflight;
     Alcotest.test_case "memo coalescing (threads)" `Quick test_memo_coalescing;
     Alcotest.test_case "memo coalescing (domains)" `Quick test_memo_coalescing_domains;
     Alcotest.test_case "daemon end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
+    Alcotest.test_case "daemon scale ceiling" `Quick test_server_scale_ceiling;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
     Alcotest.test_case "daemon concurrent forensics = sequential" `Quick

@@ -1,10 +1,13 @@
 (* Unit tests for lib/util: the deterministic PRNG, alignment arithmetic,
-   table rendering and the small statistics helpers. *)
+   table rendering, the small statistics helpers, and request coalescing
+   and memoization. *)
 
 module Rng = Fs_util.Rng
 module Align = Fs_util.Align
 module Table = Fs_util.Table
 module Stats = Fs_util.Stats
+module Sf = Fs_util.Singleflight
+module Memo = Fs_util.Memo
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -205,6 +208,180 @@ let test_crc32_sliced_matches_bytewise =
       done;
       Crc32.string_sub crc s pos len = !expect)
 
+(* ------------------------------------------------------------------ *)
+(* Singleflight and Memo                                               *)
+
+(* A gate to hold a computation at: [hold] (called inside the
+   computation) blocks until [release]; [wait_entered] returns once some
+   computation is being held. *)
+let make_gate () =
+  let m = Mutex.create () and c = Condition.create () in
+  let entered = ref false and released = ref false in
+  let hold () =
+    Mutex.protect m (fun () ->
+        entered := true;
+        Condition.broadcast c;
+        while not !released do
+          Condition.wait c m
+        done)
+  in
+  let wait_entered () =
+    Mutex.protect m (fun () ->
+        while not !entered do
+          Condition.wait c m
+        done)
+  in
+  let release () =
+    Mutex.protect m (fun () ->
+        released := true;
+        Condition.broadcast c)
+  in
+  (hold, wait_entered, release)
+
+(* a leader held inside its computation while two more callers arrive;
+   [call i] runs on thread [i] *)
+let herd_of_three call =
+  let hold, wait_entered, release = make_gate () in
+  let leader = Thread.create (call hold) 0 in
+  wait_entered ();
+  let f1 = Thread.create (call hold) 1 and f2 = Thread.create (call hold) 2 in
+  Thread.delay 0.05;
+  release ();
+  List.iter Thread.join [ leader; f1; f2 ]
+
+let test_singleflight () =
+  let sf = Sf.create () in
+  let calls = Atomic.make 0 in
+  let results = Array.make 3 ("?", `Joined) in
+  herd_of_three (fun hold i ->
+      results.(i) <-
+        Sf.run sf "k" (fun () ->
+            Atomic.incr calls;
+            hold ();
+            "payload"));
+  Alcotest.(check int) "one computation" 1 (Atomic.get calls);
+  Array.iter
+    (fun (v, _) -> Alcotest.(check string) "shared payload" "payload" v)
+    results;
+  let leds =
+    Array.to_list results
+    |> List.filter (fun (_, role) -> role = `Led)
+    |> List.length
+  in
+  Alcotest.(check int) "exactly one leader" 1 leds;
+  (* not a cache: after the flight lands, the next caller leads anew *)
+  let v, role = Sf.run sf "k" (fun () -> Atomic.incr calls; "again") in
+  Alcotest.(check string) "fresh flight" "again" v;
+  Alcotest.(check bool) "fresh leader" true (role = `Led);
+  Alcotest.(check int) "second computation" 2 (Atomic.get calls);
+  (* a leader's exception reaches everyone — here, the only caller *)
+  (match Sf.run sf "boom" (fun () -> failwith "flight failed") with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "leader exn" "flight failed" m);
+  (* and the failed flight is retired: the key is reusable *)
+  let v, _ = Sf.run sf "boom" (fun () -> "recovered") in
+  Alcotest.(check string) "failed key reusable" "recovered" v
+
+let check_stats what (hits, misses, coalesced, evictions) (st : Memo.stats) =
+  Alcotest.(check (list int))
+    (what ^ ": hits, misses, coalesced, evictions")
+    [ hits; misses; coalesced; evictions ]
+    [ st.hits; st.misses; st.coalesced; st.evictions ]
+
+let test_memo_leader_raises () =
+  let m = Memo.create () in
+  let calls = Atomic.make 0 in
+  let outcomes = Array.make 3 "?" in
+  herd_of_three (fun hold i ->
+      outcomes.(i) <-
+        (match
+           Memo.get m "k" (fun () ->
+               Atomic.incr calls;
+               hold ();
+               failwith "leader failed")
+         with
+        | _ -> "returned"
+        | exception Failure msg -> msg));
+  Alcotest.(check int) "one computation" 1 (Atomic.get calls);
+  Array.iter
+    (fun o -> Alcotest.(check string) "every caller raises" "leader failed" o)
+    outcomes;
+  (* nothing was cached: the next lookup computes *)
+  let v = Memo.get m "k" (fun () -> Atomic.incr calls; 42) in
+  Alcotest.(check int) "recomputed" 42 v;
+  Alcotest.(check int) "second computation" 2 (Atomic.get calls);
+  check_stats "after" (0, 2, 0, 0) (Memo.stats m)
+
+let test_memo_eviction () =
+  let m = Memo.create ~capacity:1 () in
+  ignore (Memo.get m 2 (fun () -> 2));
+  ignore (Memo.get m 3 (fun () -> 3));
+  check_stats "capacity 1" (0, 2, 0, 1) (Memo.stats m);
+  (* least recently used goes first: touching 1 makes 2 the victim *)
+  let m = Memo.create ~capacity:2 () in
+  let get k = Memo.get m k (fun () -> k * 10) in
+  List.iter (fun k -> ignore (get k)) [ 1; 2; 1; 3 ];
+  Alcotest.(check int) "1 kept" 10 (get 1);
+  check_stats "before 2" (2, 3, 0, 1) (Memo.stats m);
+  Alcotest.(check int) "2 evicted, recomputed" 20 (get 2);
+  check_stats "after 2" (2, 4, 0, 2) (Memo.stats m);
+  Memo.clear m;
+  check_stats "cleared" (0, 0, 0, 0) (Memo.stats m);
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Memo.create: capacity must be >= 1") (fun () ->
+      ignore (Memo.create ~capacity:0 ()))
+
+let test_memo_get_all () =
+  let m = Memo.create () in
+  let calls = Atomic.make 0 in
+  let items ks =
+    List.map (fun k -> (k, fun () -> Atomic.incr calls; k * k)) ks
+  in
+  Alcotest.(check (list int)) "input order" [ 9; 4; 9; 1 ]
+    (Memo.get_all ~jobs:2 m (items [ 3; 2; 3; 1 ]));
+  Alcotest.(check int) "duplicates computed once" 3 (Atomic.get calls);
+  check_stats "first batch" (0, 3, 1, 0) (Memo.stats m);
+  Alcotest.(check (list int)) "all hits" [ 1; 4 ]
+    (Memo.get_all ~jobs:2 m (items [ 1; 2 ]));
+  Alcotest.(check int) "hits compute nothing" 3 (Atomic.get calls);
+  check_stats "second batch" (2, 3, 1, 0) (Memo.stats m)
+
+(* Four domains race over overlapping keys at capacity 2, so hits,
+   misses, coalesced flights and evictions all happen concurrently.
+   Every caller gets its own key's value, each lookup is counted exactly
+   once, and evictions never exceed insertions. *)
+let test_memo_concurrent () =
+  let m = Memo.create ~capacity:2 () in
+  let compute k () =
+    (* long enough for flights on one key to overlap *)
+    let acc = ref 0 in
+    for i = 1 to 20_000 do
+      acc := !acc + (i land k)
+    done;
+    (k, !acc)
+  in
+  let lookups_per_worker = 8 in
+  let failures = Atomic.make 0 in
+  for _ = 1 to 3 do
+    Fs_util.Par.iter ~jobs:4
+      (fun worker ->
+        for i = 0 to lookups_per_worker - 1 do
+          let k = 2 + ((worker + i) mod 3) in
+          if fst (Memo.get m k (compute k)) <> k then Atomic.incr failures
+        done)
+      [ 0; 1; 2; 3 ]
+  done;
+  Alcotest.(check int) "every value usable" 0 (Atomic.get failures);
+  let st = Memo.stats m in
+  Alcotest.(check int) "every lookup is a hit, a miss or coalesced"
+    (3 * 4 * lookups_per_worker)
+    (st.hits + st.misses + st.coalesced);
+  Alcotest.(check bool)
+    (Printf.sprintf "evictions (%d) bounded by misses (%d)" st.evictions
+       st.misses)
+    true
+    (st.evictions <= st.misses && st.evictions > 0)
+
 let suite =
   [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
@@ -224,4 +401,10 @@ let suite =
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "default_jobs env override" `Quick test_default_jobs_env;
     Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
-    QCheck_alcotest.to_alcotest test_crc32_sliced_matches_bytewise ]
+    QCheck_alcotest.to_alcotest test_crc32_sliced_matches_bytewise;
+    Alcotest.test_case "singleflight" `Quick test_singleflight;
+    Alcotest.test_case "memo leader raises" `Quick test_memo_leader_raises;
+    Alcotest.test_case "memo eviction" `Quick test_memo_eviction;
+    Alcotest.test_case "memo get_all" `Quick test_memo_get_all;
+    Alcotest.test_case "memo concurrent pool access" `Quick
+      test_memo_concurrent ]

@@ -26,7 +26,7 @@ let checksum_global (w : W.t) =
 let run_result (w : W.t) ~nprocs ~plan =
   let prog = w.build ~nprocs ~scale:1 in
   let layout = Layout.realize prog plan ~block:64 in
-  let r = Interp.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
+  let r = Tutil.run_to_sink prog ~nprocs ~layout ~sink:Fs_trace.Sink.null in
   Interp.read_global r (checksum_global w) 0
 
 let test_builds_and_validates () =
@@ -82,7 +82,7 @@ let fs_counts (w : W.t) ~nprocs ~plan =
   let prog = w.build ~nprocs ~scale:w.default_scale in
   let cache = C.create (C.default_config ~nprocs ~block:128) in
   let layout = Layout.realize prog plan ~block:128 in
-  let _ = Interp.run_to_sink prog ~nprocs ~layout ~sink:(C.sink cache) in
+  let _ = Tutil.run_to_sink prog ~nprocs ~layout ~sink:(C.sink cache) in
   C.counts cache
 
 let test_compiler_reduces_false_sharing () =

@@ -151,10 +151,27 @@ let check_histogram what samples name labels =
   ignore (float_of_string (find_sample what samples (name ^ "_sum") labels))
 
 (* ------------------------------------------------------------------ *)
+(* The direct-interpret path: one interpretation whose cell stream is
+   translated through the layout's address oracle as it is produced
+   (with an indirection, the injected pointer load comes before the data
+   access).  Replaying a recorded trace must deliver exactly this stream:
+   the "replay = reinterpret" oracle. *)
+
+let run ?max_steps ?sched prog ~nprocs ~layout ~listener =
+  let oracle =
+    Fs_replay.Replay.oracle layout ~vars:(Fs_interp.Interp.vars prog)
+  in
+  Fs_interp.Interp.run_cells ?max_steps ?sched prog ~nprocs
+    ~cells:(Fs_replay.Replay.translating oracle listener)
+
+let run_to_sink ?max_steps ?sched prog ~nprocs ~layout ~sink =
+  run ?max_steps ?sched prog ~nprocs ~layout
+    ~listener:(Fs_trace.Listener.of_sink sink)
+
 (* The reference listener replay: a recorded trace unpacked event by
    event and routed through [Replay.translating], the translation the
-   interpreter's direct path uses, with none of the replay engine's
-   packed decode.  The oracle every engine body is checked against. *)
+   direct path above uses, with none of the replay engine's packed
+   decode.  The oracle every engine body is checked against. *)
 
 let listener_replay trace ~layout ~listener =
   let o =

@@ -527,7 +527,10 @@ let phases ~procs:_ ~jobs:_ =
           let w = Ws.find name in
           let nprocs = w.W.fig3_procs in
           let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-          (name, Falseshare.Phases.analyze prog Plan.empty ~nprocs ~block:128))
+          let recorded = Sim.record prog ~nprocs in
+          (name,
+           Falseshare.Phases.analyze ~recorded prog Plan.empty ~nprocs
+             ~block:128))
         [ "pverify"; "topopt" ])
     (fun ps ->
       String.concat ""

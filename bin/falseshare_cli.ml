@@ -71,7 +71,7 @@ let jobs_arg =
 
 let layout_arg =
   Arg.(value
-       & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `U
+       & opt (enum E.layouts) W.N
        & info [ "layout" ] ~docv:"V"
            ~doc:"Which layout: $(b,unoptimized), $(b,compiler), or $(b,programmer).")
 
@@ -176,12 +176,6 @@ let telemetrize cmd_name thunk_term =
     with_telemetry ~cmd:cmd_name ~metrics_out ~spans_out thunk
   in
   Term.(const wrap $ metrics_out_arg $ spans_out_arg $ thunk_term)
-
-let plan_of w version prog ~nprocs ~scale =
-  match version with
-  | `U -> []
-  | `C -> E.plan_for w W.C prog ~nprocs ~scale
-  | `P -> E.plan_for w W.P prog ~nprocs ~scale
 
 (* --- list --- *)
 
@@ -305,21 +299,12 @@ let source_cmd =
 
 (* --- sim --- *)
 
-let sim_versions w prog ~nprocs ~scale =
-  List.filter_map
-    (fun v ->
-      match v with
-      | W.N -> Some ("unoptimized", [])
-      | W.C -> Some ("compiler", E.plan_for w W.C prog ~nprocs ~scale)
-      | W.P -> Some ("programmer", E.plan_for w W.P prog ~nprocs ~scale))
-    (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
-
 let sim_cmd =
   let run w nprocs scale block seed jobs json () =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let versions = sim_versions w prog ~nprocs ~scale in
+    let versions = E.versions w prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let runs =
       Fs_util.Par.map ~jobs
@@ -378,9 +363,10 @@ let hotspots_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let recorded = Sim.record ?sched prog ~nprocs in
     let rows =
-      Falseshare.Attribution.attribute ?sched prog plan ~nprocs ~block
+      Falseshare.Attribution.attribute ~recorded prog plan ~nprocs ~block
     in
     if json then print_json (Emit.attribution rows)
     else print_string (Falseshare.Attribution.render rows)
@@ -411,7 +397,7 @@ let blame_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let b = Falseshare.Blame.analyze ~top ~recorded prog plan ~nprocs ~block in
     let ph =
@@ -452,8 +438,9 @@ let phases_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let p = Falseshare.Phases.analyze ?sched prog plan ~nprocs ~block in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let recorded = Sim.record ?sched prog ~nprocs in
+    let p = Falseshare.Phases.analyze ~recorded prog plan ~nprocs ~block in
     if json then print_json (Emit.phases p)
     else print_string (Falseshare.Phases.render p)
   in
@@ -480,7 +467,7 @@ let hotlines_cmd =
      the static analysis could not fix *)
   let layout_arg =
     Arg.(value
-         & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `C
+         & opt (enum E.layouts) W.C
          & info [ "layout" ] ~docv:"V"
              ~doc:"Which layout: $(b,unoptimized), $(b,compiler) (default), \
                    or $(b,programmer).")
@@ -489,8 +476,11 @@ let hotlines_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let h = Falseshare.Hotlines.analyze ~top ?sched prog plan ~nprocs ~block in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let recorded = Sim.record ?sched prog ~nprocs in
+    let h =
+      Falseshare.Hotlines.analyze ~top ~recorded prog plan ~nprocs ~block
+    in
     if json then print_json (Emit.hotlines h)
     else print_string (Falseshare.Hotlines.render h)
   in
@@ -515,7 +505,7 @@ let repair_cmd =
      feedback pass that cleans up what the static analysis left behind *)
   let layout_arg =
     Arg.(value
-         & opt (enum [ ("unoptimized", `U); ("compiler", `C); ("programmer", `P) ]) `C
+         & opt (enum E.layouts) W.C
          & info [ "layout" ] ~docv:"V"
              ~doc:"Starting layout to refine: $(b,unoptimized), \
                    $(b,compiler) (default), or $(b,programmer).")
@@ -541,10 +531,11 @@ let repair_cmd =
       let sched = sched_of w seed in
       let scale = scale_of w scale in
       let prog = w.W.build ~nprocs ~scale in
-      let plan = plan_of w version prog ~nprocs ~scale in
+      let plan = E.plan_for w version prog ~nprocs ~scale in
       let options = { Fs_feedback.Repair.default_options with max_iters } in
+      let recorded = Sim.record ?sched prog ~nprocs in
       let r =
-        Fs_feedback.Repair.refine ~options ?sched prog plan ~nprocs ~block
+        Fs_feedback.Repair.refine ~options ~recorded prog plan ~nprocs ~block
       in
       if json then print_json (Fs_feedback.Repair.to_json r)
       else print_string (Fs_feedback.Repair.render r)
@@ -587,7 +578,7 @@ let timeline_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let tl = Fs_obs.Timeline.create ~nprocs in
     let recorded = Sim.record ?sched prog ~nprocs in
@@ -709,7 +700,6 @@ let profile_cmd =
          & info [ "flight-interval" ] ~docv:"N"
              ~doc:"Packed events between flight-recorder samples.")
   in
-  let blocks = [ 8; 16; 32; 64; 128; 256 ] in
   let run w nprocs scale seed jobs interval json () =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
@@ -736,7 +726,7 @@ let profile_cmd =
           Fs_util.Par.map_with_stats ~jobs
             (fun block ->
               (block, (Sim.cache_sim ~recorded prog plan ~nprocs ~block).Sim.counts))
-            blocks)
+            E.profile_blocks)
     in
     (* one flight-instrumented fused replay at the paper's block size *)
     let flight = Fs_replay.Flight.create ~interval () in
@@ -1006,7 +996,7 @@ let trace_replay_cmd =
     let nprocs = Ct.Stream.nprocs s in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
+    let plan = E.plan_for w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let config = C.default_config ~nprocs ~block in
     let cache = C.create ~max_addr:(Fs_layout.Layout.size layout) config in
@@ -1058,7 +1048,7 @@ let trace_replay_cmd =
         "replayed %s through %s/%s: %d events in %.2fs (%.1f Mevents/s, \
          %.1f MB/s read)\n"
         path w.W.name
-        (match version with `U -> "unoptimized" | `C -> "compiler" | `P -> "programmer")
+        (E.layout_name version)
         events dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
         (float_of_int bytes /. mb /. Float.max 1e-9 dt);

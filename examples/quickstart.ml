@@ -34,9 +34,11 @@ let () =
   let report = T.plan prog ~nprocs in
   Format.printf "@.--- compiler report ---@.%a@." T.pp_report report;
 
-  (* 3. Simulate both layouts on the multiprocessor cache. *)
+  (* 3. Interpret once, then replay the recording under both layouts on
+     the multiprocessor cache. *)
+  let recorded = Sim.record prog ~nprocs in
   let show name plan =
-    let r = Sim.cache_sim prog plan ~nprocs ~block in
+    let r = Sim.cache_sim ~recorded prog plan ~nprocs ~block in
     Printf.printf "%-12s misses=%5d  false-sharing=%5d  miss rate=%s\n" name
       (C.misses r.Sim.counts) r.Sim.counts.C.false_sh
       (Fs_util.Table.pct (C.miss_rate r.Sim.counts))
@@ -46,7 +48,9 @@ let () =
   show "transformed" report.T.plan;
 
   (* 4. And on the KSR2 timing model. *)
-  let cycles plan = (Sim.machine_sim prog plan ~nprocs).Sim.machine.Fs_machine.Ksr.cycles in
+  let cycles plan =
+    (Sim.machine_sim ~recorded prog plan ~nprocs).Sim.machine.Fs_machine.Ksr.cycles
+  in
   let n = cycles [] and c = cycles report.T.plan in
   Printf.printf "--- execution time ---\nunoptimized %d cycles, transformed %d cycles (%.1fx)\n"
     n c (float_of_int n /. float_of_int c)

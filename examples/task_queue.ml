@@ -60,8 +60,9 @@ let () =
         Format.printf "result: per-process writes = %b (%s)@.@."
           e.T.per_process_writes e.T.reason)
     report.T.entries;
+  let recorded = Sim.record prog ~nprocs in
   let show name plan =
-    let r = Sim.cache_sim prog plan ~nprocs ~block:128 in
+    let r = Sim.cache_sim ~recorded prog plan ~nprocs ~block:128 in
     Printf.printf "%-12s misses=%5d  false-sharing=%5d\n" name
       (C.misses r.Sim.counts) r.Sim.counts.C.false_sh
   in

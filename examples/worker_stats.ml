@@ -55,14 +55,20 @@ let () =
   print_endline "per-worker statistics embedded in shared bucket records";
   print_endline "(speedup relative to the unoptimized uniprocessor run)\n";
   let base =
-    (Sim.machine_sim (build ~nprocs:1) [] ~nprocs:1).Sim.machine.Fs_machine.Ksr.cycles
+    let prog = build ~nprocs:1 in
+    let recorded = Sim.record prog ~nprocs:1 in
+    (Sim.machine_sim ~recorded prog [] ~nprocs:1).Sim.machine.Fs_machine.Ksr.cycles
   in
   Printf.printf "%6s %12s %12s %12s\n" "procs" "unoptimized" "compiler" "hand-padded";
   List.iter
     (fun nprocs ->
       let prog = build ~nprocs in
+      let recorded = Sim.record prog ~nprocs in
       let speedup plan =
-        let c = (Sim.machine_sim prog plan ~nprocs).Sim.machine.Fs_machine.Ksr.cycles in
+        let c =
+          (Sim.machine_sim ~recorded prog plan ~nprocs)
+            .Sim.machine.Fs_machine.Ksr.cycles
+        in
         float_of_int base /. float_of_int c
       in
       let cplan = if nprocs = 1 then [] else (T.plan prog ~nprocs).T.plan in

@@ -51,18 +51,9 @@ let cell_range prog layout ~block var blk =
       vl.Layout.addr;
     if !hi < 0 then (-1, -1) else (!lo, !hi)
 
-let attribute ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched ?recorded prog
-    plan ~nprocs ~block =
-  let recorded =
-    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
-  in
+let attribute ~recorded prog plan ~nprocs ~block =
   let layout = Layout.realize prog plan ~block in
-  let cache =
-    Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-      { Mpcache.nprocs; block; cache_bytes; assoc }
-  in
-  ignore (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
-          : Fs_replay.Replay.run);
+  let cache, _ = Sim.replay ~track_blocks:true recorded layout ~nprocs in
   let dominant = block_owner prog layout ~block in
   let per_var : (string, Mpcache.counts * int ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter

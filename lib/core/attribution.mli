@@ -40,19 +40,15 @@ type row = {
 }
 
 val attribute :
-  ?cache_bytes:int ->
-  ?assoc:int ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:Sim.recorded ->
+  recorded:Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   row list
-(** Replay (recording a fresh execution when [recorded] is omitted)
-    into a block-tracking cache.  Rows sorted by false-sharing misses,
-    heaviest first.  A block shared
-    by several variables (the packed default layout) is attributed to the
+(** Replay [recorded] into a block-tracking cache ({!Sim.replay}).  Rows
+    sorted by false-sharing misses, heaviest first.  A block shared by
+    several variables (the packed default layout) is attributed to the
     variable owning the most cells in it. *)
 
 val render : row list -> string

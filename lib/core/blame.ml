@@ -28,19 +28,11 @@ type t = {
   hot : hot_block list;
 }
 
-let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
-    ?recorded prog plan ~nprocs ~block =
-  let recorded =
-    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
-  in
+let analyze ?(top = 10) ~recorded prog plan ~nprocs ~block =
   let layout = Layout.realize prog plan ~block in
-  let cache =
-    Mpcache.create ~track_blocks:true ~track_pairs:true
-      ~max_addr:(Layout.size layout)
-      { Mpcache.nprocs; block; cache_bytes; assoc }
+  let cache, _ =
+    Sim.replay ~track_blocks:true ~track_pairs:true recorded layout ~nprocs
   in
-  ignore (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
-          : Fs_replay.Replay.run);
   let owner = Attribution.block_owner prog layout ~block in
   (* fold the per-block pair flows onto the owning variables: per variable,
      a (src, victim) -> (upgrades, write misses) accumulator *)

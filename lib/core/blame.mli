@@ -37,18 +37,14 @@ type t = {
 }
 
 val analyze :
-  ?cache_bytes:int ->
-  ?assoc:int ->
   ?top:int ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:Sim.recorded ->
+  recorded:Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   t
-(** Replays a recorded execution (fresh if [recorded] is omitted) through
-    the cache simulation with pair tracking.  [top] bounds the hot-block
-    list (default 10). *)
+(** Replays [recorded] through the cache simulation ({!Sim.replay}) with
+    pair tracking.  [top] bounds the hot-block list (default 10). *)
 
 val render : t -> string

@@ -34,8 +34,20 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
               invalid_arg (w.name ^ " has no programmer-optimized version"))
           | Workload.N -> assert false)
 
-let recorded_of (e : Trace_memo.entry) =
-  { Sim.trace = e.trace; interp = e.interp }
+let layout_name = function
+  | Workload.N -> "unoptimized"
+  | Workload.C -> "compiler"
+  | Workload.P -> "programmer"
+
+let layouts = List.map (fun v -> (layout_name v, v)) Workload.[ N; C; P ]
+
+let versions (w : Workload.t) prog ~nprocs ~scale =
+  List.map
+    (fun v -> (layout_name v, plan_for w v prog ~nprocs ~scale))
+    (if List.mem Workload.N w.versions then w.versions
+     else Workload.N :: w.versions)
+
+let profile_blocks = [ 8; 16; 32; 64; 128; 256 ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3                                                            *)
@@ -80,7 +92,7 @@ let figure3 ?(blocks = [ 16; 128 ]) ?scale_override ?jobs () =
   in
   Par.map ?jobs
     (fun ((w : Workload.t), nprocs, (e : Trace_memo.entry), cplan, block) ->
-      let recorded = recorded_of e in
+      let recorded = e.recorded in
       let unopt = Sim.cache_sim ~recorded e.prog Plan.empty ~nprocs ~block in
       let compiler = Sim.cache_sim ~recorded e.prog cplan ~nprocs ~block in
       {
@@ -170,10 +182,9 @@ let table2 ?(blocks = [ 8; 16; 32; 64; 128; 256 ]) ?jobs () =
   let fs_counts =
     Par.map ?jobs
       (fun (_, nprocs, (e : Trace_memo.entry), plans, block) ->
-        let recorded = recorded_of e in
         Array.map
           (fun plan ->
-            (Sim.cache_sim ~recorded e.prog plan ~nprocs ~block)
+            (Sim.cache_sim ~recorded:e.recorded e.prog plan ~nprocs ~block)
               .Sim.counts.Mpcache.false_sh)
           plans)
       tasks
@@ -258,7 +269,7 @@ let cycles_table ?jobs (triples : (Workload.t * version * int) list) =
     let scale = w.default_scale in
     let e = Trace_memo.get w ~nprocs ~scale in
     let plan = plan_for w version e.prog ~nprocs ~scale in
-    (Sim.machine_sim ~recorded:(recorded_of e) e.prog plan ~nprocs)
+    (Sim.machine_sim ~recorded:e.recorded e.prog plan ~nprocs)
       .Sim.machine.Fs_machine.Ksr.cycles
   in
   ignore (Memo.get_all ?jobs cycles (List.map (fun t -> (key t, run t)) triples));

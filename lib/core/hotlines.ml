@@ -79,19 +79,11 @@ let verdict_and_fix report var (l : Mpcache.line) (c : Mpcache.counts) =
   in
   (verdict, fix)
 
-let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(top = 10) ?sched
-    ?recorded prog plan ~nprocs ~block =
-  let recorded =
-    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
-  in
+let analyze ?(top = 10) ~recorded prog plan ~nprocs ~block =
   let layout = Layout.realize prog plan ~block in
-  let cache =
-    Mpcache.create ~track_blocks:true ~track_lines:true
-      ~max_addr:(Layout.size layout)
-      { Mpcache.nprocs; block; cache_bytes; assoc }
+  let cache, _ =
+    Sim.replay ~track_blocks:true ~track_lines:true recorded layout ~nprocs
   in
-  ignore (Fs_replay.Replay.simulate recorded.Sim.trace ~layout ~cache
-          : Fs_replay.Replay.run);
   let owner = Attribution.block_owner prog layout ~block in
   let cell_range = Attribution.cell_range prog layout ~block in
   let per_block = Mpcache.per_block cache in

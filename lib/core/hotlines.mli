@@ -42,19 +42,15 @@ type t = {
 }
 
 val analyze :
-  ?cache_bytes:int ->
-  ?assoc:int ->
   ?top:int ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:Sim.recorded ->
+  recorded:Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   t
-(** Replay (recording a fresh execution when [recorded] is omitted) with
-    block and line tracking on, and rank the lines.  [top] defaults
-    to 10. *)
+(** Replay [recorded] ({!Sim.replay}) with block and line tracking on,
+    and rank the lines.  [top] defaults to 10. *)
 
 val render : t -> string
 (** Ranked table plus migration histogram bars. *)

@@ -147,19 +147,10 @@ let cross_check prog ~nprocs epochs =
 
 (* ------------------------------------------------------------------ *)
 
-let analyze ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?sched ?recorded prog plan
-    ~nprocs ~block =
-  let recorded =
-    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
-  in
+let analyze ~recorded prog plan ~nprocs ~block =
   let layout = Layout.realize prog plan ~block in
-  let cache =
-    Mpcache.create ~max_addr:(Layout.size layout)
-      { Mpcache.nprocs; block; cache_bytes; assoc }
-  in
-  let trace = recorded.Sim.trace in
-  let run = Fs_replay.Replay.simulate trace ~layout ~cache in
-  let shared = write_shared_per_epoch trace in
+  let _, run = Sim.replay recorded layout ~nprocs in
+  let shared = write_shared_per_epoch recorded.Sim.trace in
   let epochs =
     Array.to_list
       (Array.mapi

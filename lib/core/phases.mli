@@ -66,19 +66,16 @@ val proc_mask_list : int -> int list
 (** The set bits of a processor bitmask, ascending. *)
 
 val analyze :
-  ?cache_bytes:int ->
-  ?assoc:int ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:Sim.recorded ->
+  recorded:Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   t
-(** Replay (recording a fresh execution when [recorded] is omitted)
-    through a cache simulation, take the replay engine's per-processor
-    epoch counts ({!Fs_replay.Replay.run}), attribute each epoch's
-    write-sharing to variables from the recorded cell events, and run
-    the static cross-check. *)
+(** Replay [recorded] through a cache simulation ({!Sim.replay}), take
+    the replay engine's per-processor epoch counts
+    ({!Fs_replay.Replay.run}), attribute each epoch's write-sharing to
+    variables from the recorded cell events, and run the static
+    cross-check. *)
 
 val render : t -> string

@@ -4,7 +4,6 @@ module Nonconcurrency = Fs_analysis.Nonconcurrency
 module Summary = Fs_analysis.Summary
 module Layout = Fs_layout.Layout
 module Mpcache = Fs_cache.Mpcache
-module Replay = Fs_replay.Replay
 module Cell_trace = Fs_trace.Cell_trace
 module Metrics = Fs_obs.Metrics
 module Span = Fs_obs.Span
@@ -106,17 +105,12 @@ let stage name ~events f =
         Span.note "events" (string_of_int (events r));
         r)
 
-let run ?options ?plan ?sched prog ~nprocs ~block =
+let run ?plan ?sched prog ~nprocs ~block =
   Span.timed "pipeline"
     ~attrs:
       [ ("nprocs", string_of_int nprocs); ("block", string_of_int block) ]
   @@ fun () ->
   let metrics = Metrics.create () in
-  let rsd_limit, static_profile =
-    match options with
-    | Some (o : T.options) -> (o.rsd_limit, o.profile)
-    | None -> (T.default_options.rsd_limit, T.default_options.profile)
-  in
   (* the analyses are timed stage by stage; the transform pass re-runs
      them internally, so its span reflects the full planning cost *)
   ignore
@@ -129,11 +123,13 @@ let run ?options ?plan ?sched prog ~nprocs ~block =
   ignore
     (stage "summary"
        ~events:(fun s -> List.length (Summary.keys s))
-       (fun () -> Summary.analyze ~rsd_limit ~profile:static_profile prog ~nprocs));
+       (fun () ->
+         Summary.analyze ~rsd_limit:T.default_options.rsd_limit
+           ~profile:T.default_options.profile prog ~nprocs));
   let report =
     stage "transform"
       ~events:(fun (r : T.report) -> List.length r.plan)
-      (fun () -> T.plan ?options prog ~nprocs)
+      (fun () -> T.plan prog ~nprocs)
   in
   Span.note "plan_actions" (string_of_int (List.length report.T.plan));
   let plan = Option.value plan ~default:report.T.plan in
@@ -151,11 +147,7 @@ let run ?options ?plan ?sched prog ~nprocs ~block =
     stage "replay+cache"
       ~events:(fun _ -> Cell_trace.length trace)
       (fun () ->
-        let cache =
-          Mpcache.create ~track_blocks:true ~max_addr:(Layout.size layout)
-            (Mpcache.default_config ~nprocs ~block)
-        in
-        ignore (Replay.simulate trace ~layout ~cache);
+        let cache, _ = Sim.replay ~track_blocks:true recorded layout ~nprocs in
         let proc_counts = Mpcache.proc_counts cache in
         ingest_interp metrics ~proc_counts trace;
         let per_block = Mpcache.per_block cache in

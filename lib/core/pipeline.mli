@@ -10,14 +10,14 @@
     the interpreter's work and synchronization counters and the cache's
     per-processor miss, invalidation, and upgrade counts.
 
-    The cache replays the recording on the fused engine
-    ({!Fs_replay.Replay.simulate}) with per-block tracking.  The [interp_*]
-    counters are not counted per event: accesses come from the cache's
-    per-processor counts (so they include the pointer loads an
-    indirection layout injects), the rest from one pass over the
-    recording's non-access events.  They are exactly the series
-    {!Fs_obs.Metrics.listener} registers on a listener replay of the same
-    recording under the same layout (tested). *)
+    The compiler runs with {!Fs_transform.Transform.default_options}.
+    The cache replays the recording through {!Sim.replay} with per-block
+    tracking.  The [interp_*] counters are not counted per event:
+    accesses come from the cache's per-processor counts (so they include
+    the pointer loads an indirection layout injects), the rest from one
+    pass over the recording's non-access events.  They are exactly the
+    series {!Fs_obs.Metrics.listener} registers on a listener replay of
+    the same recording under the same layout (tested). *)
 
 type t = {
   report : Fs_transform.Transform.report;
@@ -26,7 +26,6 @@ type t = {
 }
 
 val run :
-  ?options:Fs_transform.Transform.options ->
   ?plan:Fs_layout.Plan.t ->
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->

@@ -10,6 +10,15 @@ let record ?max_steps ?sched prog ~nprocs =
   let trace, interp = Interp.record ?max_steps ?sched prog ~nprocs in
   { trace; interp }
 
+let replay ?track_blocks ?track_pairs ?track_lines ?flight recorded layout
+    ~nprocs =
+  let cache =
+    Mpcache.create ?track_blocks ?track_pairs ?track_lines
+      ~max_addr:(Layout.size layout)
+      (Mpcache.default_config ~nprocs ~block:(Layout.block layout))
+  in
+  (cache, Replay.simulate ?flight recorded.trace ~layout ~cache)
+
 type cache_run = {
   counts : Mpcache.counts;
   per_block : (int * Mpcache.counts) list;
@@ -17,17 +26,10 @@ type cache_run = {
   interp : Interp.result;
 }
 
-let cache_sim ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(track_blocks = false)
-    ?flight ?sched ?recorded prog plan ~nprocs ~block =
-  let recorded =
-    match recorded with Some r -> r | None -> record ?sched prog ~nprocs
-  in
+let cache_sim ?(track_blocks = false) ?flight ~recorded prog plan ~nprocs
+    ~block =
   let layout = Layout.realize prog plan ~block in
-  let config = { Mpcache.nprocs; block; cache_bytes; assoc } in
-  let cache =
-    Mpcache.create ~track_blocks ~max_addr:(Layout.size layout) config
-  in
-  let run = Replay.simulate ?flight recorded.trace ~layout ~cache in
+  let cache, run = replay ~track_blocks ?flight recorded layout ~nprocs in
   {
     counts = run.Replay.counts;
     per_block = (if track_blocks then Mpcache.per_block cache else []);
@@ -37,17 +39,12 @@ let cache_sim ?(cache_bytes = 32 * 1024) ?(assoc = 4) ?(track_blocks = false)
 
 type timed_run = { machine : Ksr.result; work : int array }
 
-let machine_sim ?config ?sched ?recorded prog plan ~nprocs =
-  let config =
-    match config with Some c -> c | None -> Ksr.default_config ~nprocs
-  in
-  let recorded =
-    match recorded with Some r -> r | None -> record ?sched prog ~nprocs
-  in
+let machine_sim ~recorded prog plan ~nprocs =
+  let config = Ksr.default_config ~nprocs in
   let layout = Layout.realize prog plan ~block:config.Ksr.block in
   let machine = Ksr.create config in
   Replay.machine recorded.trace ~layout machine;
   { machine = Ksr.finish machine; work = recorded.interp.Interp.work }
 
-let compiler_plan ?options prog ~nprocs =
-  (Fs_transform.Transform.plan ?options prog ~nprocs).Fs_transform.Transform.plan
+let compiler_plan prog ~nprocs =
+  (Fs_transform.Transform.plan prog ~nprocs).Fs_transform.Transform.plan

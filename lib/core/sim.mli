@@ -2,10 +2,11 @@
     program -> plan -> layout -> interpreter -> cache / timing model.
 
     Since the interpreter's schedule is layout-free, interpretation and
-    simulation are decoupled: {!record} interprets once, and both
-    {!cache_sim} and {!machine_sim} accept the [?recorded] execution to
-    replay under their layout instead of re-interpreting.  Without
-    [?recorded] each call records a fresh (identical) execution. *)
+    simulation are decoupled: {!record} interprets once, and every
+    replay-side analysis takes that [~recorded] execution and replays it
+    under its layout instead of re-interpreting.  Every cache replay runs
+    on the paper's Section 4 geometry ({!Fs_cache.Mpcache.default_config})
+    through {!replay}. *)
 
 type recorded = {
   trace : Fs_trace.Cell_trace.t;
@@ -21,6 +22,23 @@ val record :
 (** Interpret once, layout-free.  [sched] seeds the work-stealing
     runtime and is required for programs that use [spawn]/[sync]. *)
 
+val replay :
+  ?track_blocks:bool ->
+  ?track_pairs:bool ->
+  ?track_lines:bool ->
+  ?flight:Fs_replay.Flight.t ->
+  recorded ->
+  Fs_layout.Layout.t ->
+  nprocs:int ->
+  Fs_cache.Mpcache.t * Fs_replay.Replay.run
+(** Replay [recorded] under an already realized layout into a fresh
+    cache of the Section 4 geometry (32 KB 4-way L1 per processor,
+    infinite L2) at the layout's block size, and return the cache with
+    the run.  The tracking flags are {!Fs_cache.Mpcache.create}'s, and
+    [flight] attaches a {!Fs_replay.Flight} recorder to the replay loop.
+    [recorded] must come from the program the layout was realized for,
+    at [nprocs]. *)
+
 type cache_run = {
   counts : Fs_cache.Mpcache.counts;
   per_block : (int * Fs_cache.Mpcache.counts) list;
@@ -30,23 +48,17 @@ type cache_run = {
 }
 
 val cache_sim :
-  ?cache_bytes:int ->
-  ?assoc:int ->
   ?track_blocks:bool ->
   ?flight:Fs_replay.Flight.t ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:recorded ->
+  recorded:recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   cache_run
-(** Trace-driven simulation of the paper's Section 4 architecture
-    (32 KB 4-way L1 per processor unless overridden, infinite L2).
-    [recorded] must come from the same program at the same [nprocs].
-    Every run goes through {!Fs_replay.Replay.simulate};
-    [track_blocks] fills [per_block], and [flight] attaches a
-    {!Fs_replay.Flight} recorder to the replay loop. *)
+(** Realize [plan] at [block] and {!replay} [recorded] under it.
+    [recorded] must come from the same program at the same [nprocs];
+    [track_blocks] fills [per_block]. *)
 
 type timed_run = {
   machine : Fs_machine.Ksr.result;
@@ -54,18 +66,14 @@ type timed_run = {
 }
 
 val machine_sim :
-  ?config:Fs_machine.Ksr.config ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:recorded ->
+  recorded:recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   timed_run
-(** Execution-time run on the KSR2 model (128-byte blocks). *)
+(** Execution-time run of [recorded] on the KSR2 model
+    ({!Fs_machine.Ksr.default_config}, 128-byte blocks). *)
 
-val compiler_plan :
-  ?options:Fs_transform.Transform.options ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  Fs_layout.Plan.t
-(** The compiler path: analyze and choose transformations. *)
+val compiler_plan : Fs_ir.Ast.program -> nprocs:int -> Fs_layout.Plan.t
+(** The compiler path: analyze and choose transformations with
+    {!Fs_transform.Transform.default_options}. *)

@@ -1,6 +1,4 @@
 module Workload = Fs_workloads.Workload
-module Cell_trace = Fs_trace.Cell_trace
-module Interp = Fs_interp.Interp
 module Memo = Fs_util.Memo
 
 (* [seed] is the scheduler seed for dynamic (task-parallel) workloads:
@@ -8,11 +6,7 @@ module Memo = Fs_util.Memo
    identity. *)
 type key = { workload : string; nprocs : int; scale : int; seed : int option }
 
-type entry = {
-  prog : Fs_ir.Ast.program;
-  trace : Cell_trace.t;
-  interp : Interp.result;
-}
+type entry = { prog : Fs_ir.Ast.program; recorded : Sim.recorded }
 
 (* process-global, like the workload registry it mirrors *)
 let memo : (key, entry) Memo.t = Memo.create ~capacity:128 ()
@@ -31,8 +25,7 @@ let lookup ?seed (w : Workload.t) ~nprocs ~scale =
     @@ fun () ->
     let prog = w.Workload.build ~nprocs ~scale in
     let sched = Option.map Fs_sched.Sched.seeded seed in
-    let trace, interp = Interp.record ?sched prog ~nprocs in
-    { prog; trace; interp }
+    { prog; recorded = Sim.record ?sched prog ~nprocs }
   in
   (k, record)
 

@@ -13,11 +13,7 @@
     coalesce, so N tenants asking for one configuration cost exactly one
     interpretation. *)
 
-type entry = {
-  prog : Fs_ir.Ast.program;
-  trace : Fs_trace.Cell_trace.t;
-  interp : Fs_interp.Interp.result;
-}
+type entry = { prog : Fs_ir.Ast.program; recorded : Sim.recorded }
 
 val get :
   ?seed:int -> Fs_workloads.Workload.t -> nprocs:int -> scale:int -> entry

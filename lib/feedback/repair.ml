@@ -8,26 +8,14 @@ module Hotlines = Falseshare.Hotlines
 module Attribution = Falseshare.Attribution
 module Sim = Falseshare.Sim
 
-type options = {
-  max_iters : int;
-  top : int;
-  min_fs_gain : int;
-  space_weight : float;
-  load_weight : float;
-  cache_bytes : int;
-  assoc : int;
-}
+type options = { max_iters : int; top : int }
 
-let default_options =
-  {
-    max_iters = 5;
-    top = 64;
-    min_fs_gain = 1;
-    space_weight = 0.25;
-    load_weight = 0.05;
-    cache_bytes = 32 * 1024;
-    assoc = 4;
-  }
+let default_options = { max_iters = 5; top = 64 }
+
+(* the cost model's score penalties: per cache block of layout growth,
+   and per estimated injected pointer load *)
+let space_weight = 0.25
+let load_weight = 0.05
 
 type kind =
   | Pad_hot_scalars of string list
@@ -193,7 +181,7 @@ let indirect_fields prog (h : Hotlines.t) sname =
       | _ -> None)
     s.Ast.fields
 
-let score_candidate opts prog plan ~block ~base_bytes c =
+let score_candidate prog plan ~block ~base_bytes c =
   match
     try
       let bytes = Layout.size (Layout.realize prog (apply plan c) ~block) in
@@ -204,12 +192,12 @@ let score_candidate opts prog plan ~block ~base_bytes c =
   | Some blocks ->
     let score =
       float_of_int c.est_fs
-      -. (opts.space_weight *. float_of_int blocks)
-      -. (opts.load_weight *. float_of_int c.load_est)
+      -. (space_weight *. float_of_int blocks)
+      -. (load_weight *. float_of_int c.load_est)
     in
     Some { c with space_blocks = blocks; score }
 
-let extract ?(options = default_options) prog plan (h : Hotlines.t) =
+let extract prog plan (h : Hotlines.t) =
   let block = h.Hotlines.block in
   let layout = Layout.realize prog plan ~block in
   let base_bytes = Layout.size layout in
@@ -365,7 +353,7 @@ let extract ?(options = default_options) prog plan (h : Hotlines.t) =
         end)
     owners;
   List.rev !raw
-  |> List.filter_map (score_candidate options prog plan ~block ~base_bytes)
+  |> List.filter_map (score_candidate prog plan ~block ~base_bytes)
   |> List.sort (fun a b ->
          let c = compare b.score a.score in
          if c <> 0 then c
@@ -418,8 +406,7 @@ let removed_fraction t =
   if fs0 = 0 then 0.
   else float_of_int (fs0 - t.final.Mpcache.false_sh) /. float_of_int fs0
 
-let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
-    ~block =
+let refine ?(options = default_options) ~recorded prog plan0 ~nprocs ~block =
   Fs_obs.Span.timed "refine"
     ~attrs:
       [ ("nprocs", string_of_int nprocs);
@@ -427,15 +414,9 @@ let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
         ("max_iters", string_of_int options.max_iters) ]
   @@ fun () ->
   Plan.validate prog plan0;
-  let recorded =
-    match recorded with Some r -> r | None -> Sim.record ?sched prog ~nprocs
-  in
   let eval plan =
-    let run =
-      Sim.cache_sim ~cache_bytes:options.cache_bytes ~assoc:options.assoc
-        ~recorded prog plan ~nprocs ~block
-    in
-    Mpcache.copy_counts run.Sim.counts
+    Mpcache.copy_counts
+      (Sim.cache_sim ~recorded prog plan ~nprocs ~block).Sim.counts
   in
   let c0 = eval plan0 in
   let rec loop plan (c : Mpcache.counts) naccepted iters =
@@ -451,10 +432,9 @@ let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
           ~attrs:[ ("index", string_of_int (naccepted + 1)) ]
         @@ fun () ->
         let h =
-          Hotlines.analyze ~cache_bytes:options.cache_bytes ~assoc:options.assoc
-            ~top:options.top ~recorded prog plan ~nprocs ~block
+          Hotlines.analyze ~top:options.top ~recorded prog plan ~nprocs ~block
         in
-        match extract ~options prog plan h with
+        match extract prog plan h with
         | [] -> `Stop (plan, c, List.rev iters, Exhausted)
         | cands -> (
           (* try candidates best-first against the accept gate: false sharing
@@ -492,9 +472,7 @@ let refine ?(options = default_options) ?sched ?recorded prog plan0 ~nprocs
                 misses_before = Mpcache.misses c;
                 misses_after = Mpcache.misses c' }
             in
-            if c.Mpcache.false_sh - c'.Mpcache.false_sh < options.min_fs_gain
-            then `Stop (plan', c', List.rev (it :: iters), No_gain)
-            else `Continue (plan', c', naccepted + 1, it :: iters))
+            `Continue (plan', c', naccepted + 1, it :: iters))
       in
       match outcome with
       | `Stop r -> r

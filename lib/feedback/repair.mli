@@ -22,15 +22,6 @@
 type options = {
   max_iters : int;     (** cap on accepted repairs (default 5) *)
   top : int;           (** hot lines tracked per diagnosis (default 64) *)
-  min_fs_gain : int;
-      (** stop once an accepted repair removes fewer false-sharing misses
-          than this (default 1: any strict improvement continues) *)
-  space_weight : float;
-      (** score penalty per cache block of layout growth *)
-  load_weight : float;
-      (** score penalty per estimated injected pointer load *)
-  cache_bytes : int;   (** simulated L1 capacity *)
-  assoc : int;         (** simulated L1 associativity *)
 }
 
 val default_options : options
@@ -68,7 +59,10 @@ type candidate = {
   space_blocks : int;
       (** exact layout growth, in blocks, of applying the delta *)
   load_est : int;  (** extra pointer loads (indirection only) *)
-  score : float;   (** est_fs - space_weight*space - load_weight*loads *)
+  score : float;
+      (** est_fs - 0.25 * space_blocks - 0.05 * load_est: a block of
+          layout growth costs a quarter of a miss, an injected pointer
+          load a twentieth *)
 }
 
 val candidate_label : candidate -> string
@@ -78,7 +72,6 @@ val apply : Fs_layout.Plan.t -> candidate -> Fs_layout.Plan.t
     @raise Fs_layout.Plan.Plan_error on a conflicting delta. *)
 
 val extract :
-  ?options:options ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   Falseshare.Hotlines.t ->
@@ -104,9 +97,7 @@ type iteration = {
 type stop =
   | Zero_fs        (** no false-sharing misses remain *)
   | Exhausted      (** diagnosis produced no candidates *)
-  | No_gain
-      (** no candidate passed the accept gate, or the accepted gain fell
-          below [min_fs_gain] *)
+  | No_gain  (** no candidate passed the accept gate *)
   | Iteration_cap
 
 val stop_to_string : stop -> string
@@ -124,15 +115,15 @@ type t = {
 
 val refine :
   ?options:options ->
-  ?sched:Fs_sched.Sched.config ->
-  ?recorded:Falseshare.Sim.recorded ->
+  recorded:Falseshare.Sim.recorded ->
   Fs_ir.Ast.program ->
   Fs_layout.Plan.t ->
   nprocs:int ->
   block:int ->
   t
-(** Run the loop.  [recorded] must come from the same program at the same
-    [nprocs]; when omitted, one execution is recorded first.  Guarantees
+(** Run the loop, replaying [recorded] under each candidate plan on the
+    Section 4 cache ({!Falseshare.Sim.replay}).  [recorded] must come from
+    the same program at the same [nprocs].  Guarantees
     [final.false_sh <= initial.false_sh] and
     [misses final <= misses initial].
     @raise Fs_layout.Plan.Plan_error when [plan0] itself is invalid. *)

@@ -49,7 +49,7 @@ let refined_of (r : Repair.t) =
         r.Repair.iterations;
   }
 
-let table ?(blocks = [ 16; 128 ]) ?scale_override ?options ?jobs () =
+let table ?(blocks = [ 16; 128 ]) ?scale_override ?jobs () =
   let configs =
     List.map
       (fun (w : Workload.t) ->
@@ -73,14 +73,14 @@ let table ?(blocks = [ 16; 128 ]) ?scale_override ?options ?jobs () =
   Par.map ?jobs
     (fun ((w : Workload.t), nprocs, (e : Trace_memo.entry), cplan, pplan, block)
     ->
-      let recorded = E.recorded_of e in
+      let recorded = e.recorded in
       let counts plan =
         cell_of_counts (Sim.cache_sim ~recorded e.prog plan ~nprocs ~block).Sim.counts
       in
-      let f = Repair.refine ?options ~recorded e.prog cplan ~nprocs ~block in
+      let f = Repair.refine ~recorded e.prog cplan ~nprocs ~block in
       let fp =
         Option.map
-          (fun p -> Repair.refine ?options ~recorded e.prog p ~nprocs ~block)
+          (fun p -> Repair.refine ~recorded e.prog p ~nprocs ~block)
           pplan
       in
       let locks_repaired =
@@ -220,7 +220,7 @@ let sched_fs ~recorded prog plan ~nprocs ~block =
     0 run.Sim.per_block
 
 let stealing_table ?(blocks = [ 16; 128 ]) ?(seed = 42) ?scale_override
-    ?options ?jobs () =
+    ?jobs () =
   let configs =
     List.map
       (fun (w : Workload.t) ->
@@ -238,22 +238,22 @@ let stealing_table ?(blocks = [ 16; 128 ]) ?(seed = 42) ?scale_override
   in
   Par.map ?jobs
     (fun ((w : Workload.t), nprocs, (e : Trace_memo.entry), cplan, block) ->
-      let recorded = E.recorded_of e in
+      let recorded = e.recorded in
       let counts plan =
         cell_of_counts
           (Sim.cache_sim ~recorded e.prog plan ~nprocs ~block).Sim.counts
       in
-      let f = Repair.refine ?options ~recorded e.prog cplan ~nprocs ~block in
+      let f = Repair.refine ~recorded e.prog cplan ~nprocs ~block in
       {
         sname = w.name;
         sprocs = nprocs;
         sblock = block;
         sseed = seed;
         stasks =
-          (match e.interp.Fs_interp.Interp.sched with
+          (match recorded.Sim.interp.Fs_interp.Interp.sched with
            | Some s -> s.Sched.tasks
            | None -> 0);
-        ssteals = steal_count e.trace;
+        ssteals = steal_count recorded.Sim.trace;
         sunopt = counts Plan.empty;
         scompiler = counts cplan;
         sfeedback = refined_of f;

@@ -42,14 +42,14 @@ type row = {
 val table :
   ?blocks:int list ->
   ?scale_override:int ->
-  ?options:Repair.options ->
   ?jobs:int ->
   unit ->
   row list
 (** All ten workloads at their Figure 3 processor counts, one row per
     (workload, block); [blocks] defaults to [[16; 128]].  Traces come from
     the process-wide memo, rows are produced on the parallel pool, and the
-    result is deterministic in input order. *)
+    result is deterministic in input order.  Every refinement runs with
+    {!Repair.default_options}. *)
 
 val render : row list -> string
 
@@ -85,12 +85,12 @@ val stealing_table :
   ?blocks:int list ->
   ?seed:int ->
   ?scale_override:int ->
-  ?options:Repair.options ->
   ?jobs:int ->
   unit ->
   steal_row list
 (** One row per (dynamic workload, block); [blocks] defaults to
-    [[16; 128]], [seed] to 42.  Deterministic: same seed, same rows. *)
+    [[16; 128]], [seed] to 42; refinements run with
+    {!Repair.default_options}.  Deterministic: same seed, same rows. *)
 
 val render_stealing : steal_row list -> string
 

@@ -165,7 +165,7 @@ type params = {
   pnprocs : int;
   pscale : int;
   pblock : int;
-  playout : string;
+  pversion : W.version;  (** the layout, by {!E.layout_name} *)
   ptop : int;
   pmax_iters : int;
   psched_seed : int option;
@@ -198,21 +198,21 @@ let parse_params endpoint (req : Http.request) =
   if nprocs < 1 || nprocs > 64 then client_err "nprocs must be in 1..64";
   let block = int_field "block" 128 in
   if block < 4 || block > 4096 then client_err "block must be in 4..4096";
-  let layout =
-    let default =
+  let version =
+    match str_field "layout" with
+    | None -> (
       (* the feedback-flavored endpoints default to the compiler's layout,
          like their CLI counterparts *)
       match endpoint with
-      | "hotlines" | "repair" | "profile" -> "compiler"
-      | _ -> "unoptimized"
-    in
-    match str_field "layout" with
-    | None -> default
-    | Some ("unoptimized" | "compiler" | "programmer" as l) -> l
-    | Some other ->
-      client_err
-        "unknown layout %S (expected unoptimized, compiler, or programmer)"
-        other
+      | "hotlines" | "repair" | "profile" -> W.C
+      | _ -> W.N)
+    | Some l -> (
+      match List.assoc_opt l E.layouts with
+      | Some v -> v
+      | None ->
+        client_err
+          "unknown layout %S (expected unoptimized, compiler, or programmer)"
+          l)
   in
   let top = int_field "top" 10 in
   if top < 1 || top > 10_000 then client_err "top must be in 1..10000";
@@ -262,7 +262,12 @@ let parse_params endpoint (req : Http.request) =
            grafted on here, like the registered dynamic workloads do in
            their builders (instrument is the identity otherwise) *)
         let prog = Fs_sched.Sched.instrument ~nprocs prog in
-        (None, prog, scale_field 1, "<source>")
+        let scale = scale_field 1 in
+        (* the source is built as sent: a scale would only split one
+           program's results across several store entries *)
+        if Json.member "scale" j <> None then
+          client_err "scale applies only to a registered workload";
+        (None, prog, scale, "<source>")
       | Error errs -> client_err "source does not validate: %s" (String.concat "; " errs))
     | None, None ->
       client_err "body must name a \"workload\" or carry ParC \"source\""
@@ -286,7 +291,7 @@ let parse_params endpoint (req : Http.request) =
     pnprocs = nprocs;
     pscale = scale;
     pblock = block;
-    playout = layout;
+    pversion = version;
     ptop = top;
     pmax_iters = max_iters;
     psched_seed = sched_seed;
@@ -306,7 +311,7 @@ let cache_key p =
       string_of_int p.pnprocs;
       string_of_int p.pscale;
       string_of_int p.pblock;
-      p.playout;
+      E.layout_name p.pversion;
       string_of_int p.ptop;
       string_of_int p.pmax_iters;
       (match p.psched_seed with
@@ -318,19 +323,13 @@ let cache_key p =
 (* Handlers: each returns the result payload as a JSON string           *)
 
 let plan_of p =
-  match p.playout with
-  | "unoptimized" -> []
-  | "compiler" -> (
-    match p.pworkload with
-    | Some w -> E.plan_for w W.C p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
-    | None -> Sim.compiler_plan p.pprog ~nprocs:p.pnprocs)
-  | "programmer" -> (
-    match p.pworkload with
-    | Some w when List.mem W.P w.W.versions ->
-      E.plan_for w W.P p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
-    | Some w -> client_err "workload %S has no programmer layout" w.W.name
-    | None -> client_err "a ParC source has no programmer layout")
-  | _ -> assert false
+  match (p.pworkload, p.pversion) with
+  | Some w, W.P when not (List.mem W.P w.W.versions) ->
+    client_err "workload %S has no programmer layout" w.W.name
+  | Some w, v -> E.plan_for w v p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
+  | None, W.N -> []
+  | None, W.C -> Sim.compiler_plan p.pprog ~nprocs:p.pnprocs
+  | None, W.P -> client_err "a ParC source has no programmer layout"
 
 let recorded_for p =
   match p.pworkload with
@@ -338,9 +337,9 @@ let recorded_for p =
     Span.timed "memo"
       ~attrs:[ ("workload", w.W.name) ]
       (fun () ->
-        E.recorded_of
-          (Trace_memo.get ?seed:p.psched_seed w ~nprocs:p.pnprocs
-             ~scale:p.pscale))
+        (Trace_memo.get ?seed:p.psched_seed w ~nprocs:p.pnprocs
+           ~scale:p.pscale)
+          .Trace_memo.recorded)
   | None ->
     let sched = Option.map Fs_sched.Sched.seeded p.psched_seed in
     Span.timed "record" (fun () ->
@@ -348,17 +347,7 @@ let recorded_for p =
 
 let versions_of p =
   match p.pworkload with
-  | Some w ->
-    List.filter_map
-      (fun v ->
-        match v with
-        | W.N -> Some ("unoptimized", [])
-        | W.C ->
-          Some ("compiler", E.plan_for w W.C p.pprog ~nprocs:p.pnprocs ~scale:p.pscale)
-        | W.P ->
-          Some
-            ("programmer", E.plan_for w W.P p.pprog ~nprocs:p.pnprocs ~scale:p.pscale))
-      (if List.mem W.N w.W.versions then w.W.versions else W.N :: w.W.versions)
+  | Some w -> E.versions w p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
   | None ->
     [ ("unoptimized", []);
       ("compiler", Sim.compiler_plan p.pprog ~nprocs:p.pnprocs) ]
@@ -407,16 +396,12 @@ let handle_repair p =
   let plan = Span.timed "plan" (fun () -> plan_of p) in
   let recorded = recorded_for p in
   let options =
-    { Fs_feedback.Repair.default_options with
-      max_iters = p.pmax_iters;
-      top = p.ptop }
+    { Fs_feedback.Repair.max_iters = p.pmax_iters; top = p.ptop }
   in
   Fs_feedback.Repair.to_json
     (Span.timed "repair" (fun () ->
          Fs_feedback.Repair.refine ~options ~recorded p.pprog plan
            ~nprocs:p.pnprocs ~block:p.pblock))
-
-let profile_blocks = [ 8; 16; 32; 64; 128; 256 ]
 
 let handle_profile ~jobs p =
   let plan = Span.timed "plan" (fun () -> plan_of p) in
@@ -430,14 +415,14 @@ let handle_profile ~jobs p =
             ( block,
               (Sim.cache_sim ~recorded p.pprog plan ~nprocs:p.pnprocs ~block)
                 .Sim.counts ))
-          profile_blocks)
+          E.profile_blocks)
   in
   let module C = Fs_cache.Mpcache in
   Json.Obj
     [ ("workload", Json.String p.pwname);
       ("nprocs", Json.Int p.pnprocs);
       ("scale", Json.Int p.pscale);
-      ("layout", Json.String p.playout);
+      ("layout", Json.String (E.layout_name p.pversion));
       ("pool", Fs_obs.Pool.to_json pool);
       ( "sweep",
         Json.List

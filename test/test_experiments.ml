@@ -111,7 +111,10 @@ let test_attribution () =
   let w = Fs_workloads.Workloads.find "pverify" in
   let nprocs = 8 in
   let prog = w.W.build ~nprocs ~scale:1 in
-  let rows = Falseshare.Attribution.attribute prog [] ~nprocs ~block:128 in
+  let recorded = Falseshare.Sim.record prog ~nprocs in
+  let rows =
+    Falseshare.Attribution.attribute ~recorded prog [] ~nprocs ~block:128
+  in
   (match rows with
    | top :: _ ->
      Alcotest.(check string) "gates records dominate false sharing" "gates"
@@ -119,7 +122,9 @@ let test_attribution () =
    | [] -> Alcotest.fail "no rows");
   (* after transformation the false sharing collapses everywhere *)
   let cplan = Falseshare.Sim.compiler_plan prog ~nprocs in
-  let rows' = Falseshare.Attribution.attribute prog cplan ~nprocs ~block:128 in
+  let rows' =
+    Falseshare.Attribution.attribute ~recorded prog cplan ~nprocs ~block:128
+  in
   let total_fs r =
     List.fold_left
       (fun acc (x : Falseshare.Attribution.row) ->

@@ -196,8 +196,11 @@ let test_determinism () =
   let nprocs = w.W.fig3_procs in
   let prog = w.W.build ~nprocs ~scale:1 in
   let cplan = (T.plan prog ~nprocs).T.plan in
-  let a = R.refine prog cplan ~nprocs ~block:128 in
-  let b = R.refine prog cplan ~nprocs ~block:128 in
+  (* two separate recordings: the whole record-then-refine path repeats *)
+  let refine () =
+    R.refine ~recorded:(Sim.record prog ~nprocs) prog cplan ~nprocs ~block:128
+  in
+  let a = refine () and b = refine () in
   Alcotest.(check string) "identical narration" (R.render a) (R.render b);
   Alcotest.(check bool) "identical plan" true (a.R.plan = b.R.plan)
 
@@ -209,7 +212,8 @@ let test_topopt_acceptance () =
   let nprocs = 12 in
   let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
   let cplan = (T.plan prog ~nprocs).T.plan in
-  let r = R.refine prog cplan ~nprocs ~block:128 in
+  let recorded = Sim.record prog ~nprocs in
+  let r = R.refine ~recorded prog cplan ~nprocs ~block:128 in
   Alcotest.(check bool) "residual FS to recover" true
     (r.R.initial.C.false_sh > 0);
   Alcotest.(check bool) "converges within five iterations" true
@@ -231,7 +235,8 @@ let test_repairs_programmer_locks () =
   in
   Alcotest.(check bool) "hand plan omits pad-locks" false
     (List.mem Plan.Pad_locks pplan);
-  let r = R.refine prog pplan ~nprocs ~block:128 in
+  let recorded = Sim.record prog ~nprocs in
+  let r = R.refine ~recorded prog pplan ~nprocs ~block:128 in
   Alcotest.(check bool) "repair restores pad-locks" true
     (List.mem Plan.Pad_locks r.R.plan)
 
@@ -259,7 +264,8 @@ let test_f_layout_transparency () =
       in
       let base = run [] in
       let cplan = (T.plan prog ~nprocs).T.plan in
-      let f = R.refine prog cplan ~nprocs ~block:128 in
+      let recorded = Sim.record prog ~nprocs in
+      let f = R.refine ~recorded prog cplan ~nprocs ~block:128 in
       Alcotest.(check bool)
         (w.name ^ ": repaired layout preserves the result")
         true

@@ -498,7 +498,8 @@ let test_timeline_counter () =
 let test_emit_sim_roundtrip () =
   let nprocs = 4 in
   let prog = fs_prog ~nprocs in
-  let unopt = Sim.cache_sim prog [] ~nprocs ~block:64 in
+  let recorded = Sim.record prog ~nprocs in
+  let unopt = Sim.cache_sim ~recorded prog [] ~nprocs ~block:64 in
   let j0 = Emit.sim ~workload:"obs_test" ~nprocs ~block:64 [ ("unoptimized", unopt) ] in
   let j = parse_ok "sim json" (Json.to_string j0) in
   Alcotest.(check int) "procs" nprocs (geti "sim" j [ "procs" ]);
@@ -601,8 +602,9 @@ let test_emit_report_roundtrip () =
 let test_blame_agrees_with_attribution () =
   let nprocs = 4 and block = 64 in
   let prog = fs_prog ~nprocs in
-  let blame = Blame.analyze prog [] ~nprocs ~block in
-  let attr = Attribution.attribute prog [] ~nprocs ~block in
+  let recorded = Sim.record prog ~nprocs in
+  let blame = Blame.analyze ~recorded prog [] ~nprocs ~block in
+  let attr = Attribution.attribute ~recorded prog [] ~nprocs ~block in
   Alcotest.(check bool) "found invalidations" true (blame.Blame.rows <> []);
   List.iter
     (fun (row : Blame.var_row) ->

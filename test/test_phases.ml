@@ -70,7 +70,8 @@ let test_pverify_cross_check () =
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
   let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-  let p = Phases.analyze prog Plan.empty ~nprocs ~block:128 in
+  let recorded = Sim.record prog ~nprocs in
+  let p = Phases.analyze ~recorded prog Plan.empty ~nprocs ~block:128 in
   Alcotest.(check bool) "no violations" true (p.Phases.violations = []);
   Alcotest.(check bool)
     "some epoch observes write-sharing" true
@@ -85,7 +86,8 @@ let test_phases_json_sums () =
   let w = Ws.find "pverify" in
   let nprocs = w.W.fig3_procs in
   let prog = w.W.build ~nprocs ~scale:w.W.default_scale in
-  let p = Phases.analyze prog Plan.empty ~nprocs ~block:128 in
+  let recorded = Sim.record prog ~nprocs in
+  let p = Phases.analyze ~recorded prog Plan.empty ~nprocs ~block:128 in
   let j =
     match Json.of_string (Json.to_string (Emit.phases p)) with
     | Ok j -> j
@@ -134,7 +136,8 @@ let test_topopt_hotlines () =
   let scale = w.W.default_scale in
   let prog = w.W.build ~nprocs ~scale in
   let plan = E.plan_for w W.C prog ~nprocs ~scale in
-  let h = Hotlines.analyze prog plan ~nprocs ~block:128 in
+  let recorded = Sim.record prog ~nprocs in
+  let h = Hotlines.analyze ~recorded prog plan ~nprocs ~block:128 in
   match h.Hotlines.hot with
   | [] -> Alcotest.fail "no hot lines"
   | top :: _ ->

@@ -343,7 +343,7 @@ let test_memo_sharing () =
   let e1 = Memo.get w ~nprocs:4 ~scale:1 in
   let e2 = Memo.get w ~nprocs:4 ~scale:1 in
   Alcotest.(check bool) "second get shares the trace" true
-    (e1.Memo.trace == e2.Memo.trace);
+    (e1.Memo.recorded.Sim.trace == e2.Memo.recorded.Sim.trace);
   let st = Memo.stats () in
   Alcotest.(check (pair int int)) "one miss then one hit" (1, 1)
     (st.hits, st.misses);
@@ -352,9 +352,9 @@ let test_memo_sharing () =
   let es = Memo.get_all ~jobs:2 [ (w, 4, 1); (w, 4, 1); (w, 2, 1) ] in
   (match es with
    | [ a; b; c ] ->
-     Alcotest.(check bool) "duplicates share" true (a.Memo.trace == b.Memo.trace);
-     Alcotest.(check int) "4-proc trace" 4 (Cell_trace.nprocs a.Memo.trace);
-     Alcotest.(check int) "2-proc trace" 2 (Cell_trace.nprocs c.Memo.trace)
+     Alcotest.(check bool) "duplicates share" true (a.Memo.recorded.Sim.trace == b.Memo.recorded.Sim.trace);
+     Alcotest.(check int) "4-proc trace" 4 (Cell_trace.nprocs a.Memo.recorded.Sim.trace);
+     Alcotest.(check int) "2-proc trace" 2 (Cell_trace.nprocs c.Memo.recorded.Sim.trace)
    | _ -> Alcotest.fail "expected three entries");
   Alcotest.(check int) "two distinct interpretations" 2 (Memo.stats ()).misses;
   Memo.clear ()
@@ -400,17 +400,17 @@ let test_jobs_independence () =
   let sp_b = E.speedups ~procs:[ 1; 4 ] ~names:[ "maxflow" ] ~jobs:4 () in
   Alcotest.(check bool) "speedups independent of jobs" true (sp_a = sp_b)
 
-(* Replays through Sim agree with the direct-path simulation counts. *)
+(* Two separate recordings of one program replay to identical counts. *)
 let test_sim_recorded_counts () =
   let w = Ws.find "raytrace" in
   let nprocs = 4 in
   let prog = w.W.build ~nprocs ~scale:1 in
-  let recorded = Sim.record prog ~nprocs in
+  let first = Sim.record prog ~nprocs and second = Sim.record prog ~nprocs in
   let plan = E.plan_for w W.C prog ~nprocs ~scale:1 in
   List.iter
     (fun block ->
-      let fresh = Sim.cache_sim prog plan ~nprocs ~block in
-      let replayed = Sim.cache_sim ~recorded prog plan ~nprocs ~block in
+      let fresh = Sim.cache_sim ~recorded:first prog plan ~nprocs ~block in
+      let replayed = Sim.cache_sim ~recorded:second prog plan ~nprocs ~block in
       Alcotest.(check bool)
         (Printf.sprintf "counts identical at block %d" block)
         true

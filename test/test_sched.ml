@@ -180,9 +180,8 @@ let test_phases_exemption () =
   let w = wl "dstress" in
   let nprocs = 4 in
   let prog = w.W.build ~nprocs ~scale:1 in
-  let t =
-    Phases.analyze ~sched:(Sched.seeded 42) prog [] ~nprocs ~block:64
-  in
+  let recorded = Sim.record ~sched:(Sched.seeded 42) prog ~nprocs in
+  let t = Phases.analyze ~recorded prog [] ~nprocs ~block:64 in
   List.iter
     (fun (viol : Phases.violation) ->
       Alcotest.(check bool)

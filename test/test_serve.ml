@@ -315,7 +315,7 @@ let test_memo_coalescing () =
   (match (entries.(0), entries.(1), entries.(2)) with
    | Some a, Some b, Some c ->
      Alcotest.(check bool) "same trace" true
-       (a.Memo.trace == b.Memo.trace && b.Memo.trace == c.Memo.trace)
+       (a.Memo.recorded.Falseshare.Sim.trace == b.Memo.recorded.Falseshare.Sim.trace && b.Memo.recorded.Falseshare.Sim.trace == c.Memo.recorded.Falseshare.Sim.trace)
    | _ -> Alcotest.fail "a getter returned nothing");
   Memo.clear ()
 
@@ -331,7 +331,7 @@ let test_memo_coalescing_domains () =
      List.iter
        (fun (e : Memo.entry) ->
          Alcotest.(check bool) "physically shared trace" true
-           (e.Memo.trace == first.Memo.trace))
+           (e.Memo.recorded.Falseshare.Sim.trace == first.Memo.recorded.Falseshare.Sim.trace))
        rest
    | [] -> Alcotest.fail "no entries");
   Memo.clear ()
@@ -481,6 +481,37 @@ let test_server_scale_ceiling () =
           "/analyze"
       in
       Alcotest.(check int) "next request served" 200 s;
+      let s, _, _ = Http.request ~port "/healthz" in
+      Alcotest.(check int) "still healthy" 200 s)
+
+(* An inline source is built as sent, so a scale sent with it could
+   only split one program's results across store entries: any scale
+   there is a client error, and the same source without one is served. *)
+let test_server_source_scale () =
+  let cache_dir = fresh_dir "srcscale" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 2; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  let src = "program tiny; shared int c[4]; void main() { c[pid] = 1; }" in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      let s, _, b =
+        Http.request ~port
+          ~body:(Printf.sprintf {|{"source":%S,"nprocs":2,"scale":2}|} src)
+          "/analyze"
+      in
+      Alcotest.(check int) "scale with a source" 400 s;
+      Tutil.check_contains "names the rule" b
+        "scale applies only to a registered workload";
+      let s, _, _ =
+        Http.request ~port
+          ~body:(Printf.sprintf {|{"source":%S,"nprocs":2}|} src)
+          "/analyze"
+      in
+      Alcotest.(check int) "the same source without scale" 200 s;
       let s, _, _ = Http.request ~port "/healthz" in
       Alcotest.(check int) "still healthy" 200 s)
 
@@ -637,6 +668,7 @@ let suite =
     Alcotest.test_case "daemon end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
     Alcotest.test_case "daemon scale ceiling" `Quick test_server_scale_ceiling;
+    Alcotest.test_case "daemon source scale" `Quick test_server_source_scale;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
     Alcotest.test_case "daemon concurrent forensics = sequential" `Quick

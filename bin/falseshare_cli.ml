@@ -100,6 +100,15 @@ let sched_of (w : W.t) = function
       w.W.name;
     exit 2
 
+(* A layout the workload does not have is a usage error, as it is a 400
+   in [serve]: one stderr line and exit 2, not an uncaught exception. *)
+let plan_of (w : W.t) version prog ~nprocs ~scale =
+  if version = W.P && not (List.mem W.P w.W.versions) then begin
+    Printf.eprintf "falseshare: %s has no programmer layout\n" w.W.name;
+    exit 2
+  end;
+  E.plan_for w version prog ~nprocs ~scale
+
 (* For commands whose experiment drivers are defined over the static
    suite only (speedup sweeps, the paper reproductions). *)
 let reject_dynamic ~cmd (w : W.t) =
@@ -363,7 +372,7 @@ let hotspots_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let rows =
       Falseshare.Attribution.attribute ~recorded prog plan ~nprocs ~block
@@ -397,7 +406,7 @@ let blame_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let b = Falseshare.Blame.analyze ~top ~recorded prog plan ~nprocs ~block in
     let ph =
@@ -438,7 +447,7 @@ let phases_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let p = Falseshare.Phases.analyze ~recorded prog plan ~nprocs ~block in
     if json then print_json (Emit.phases p)
@@ -476,7 +485,7 @@ let hotlines_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let recorded = Sim.record ?sched prog ~nprocs in
     let h =
       Falseshare.Hotlines.analyze ~top ~recorded prog plan ~nprocs ~block
@@ -531,7 +540,7 @@ let repair_cmd =
       let sched = sched_of w seed in
       let scale = scale_of w scale in
       let prog = w.W.build ~nprocs ~scale in
-      let plan = E.plan_for w version prog ~nprocs ~scale in
+      let plan = plan_of w version prog ~nprocs ~scale in
       let options = { Fs_feedback.Repair.default_options with max_iters } in
       let recorded = Sim.record ?sched prog ~nprocs in
       let r =
@@ -578,7 +587,7 @@ let timeline_cmd =
     let sched = sched_of w seed in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let tl = Fs_obs.Timeline.create ~nprocs in
     let recorded = Sim.record ?sched prog ~nprocs in
@@ -935,7 +944,7 @@ let trace_record_cmd =
        guard, so run unguarded *)
     (match
        Fs_interp.Interp.run_cells ~max_steps:max_int ?sched prog ~nprocs
-         ~cells:(Ct.Writer.recorder wr)
+         ~push:(Ct.Writer.push wr)
      with
     | _ -> Ct.Writer.close wr
     | exception e ->
@@ -996,7 +1005,7 @@ let trace_replay_cmd =
     let nprocs = Ct.Stream.nprocs s in
     let scale = scale_of w scale in
     let prog = w.W.build ~nprocs ~scale in
-    let plan = E.plan_for w version prog ~nprocs ~scale in
+    let plan = plan_of w version prog ~nprocs ~scale in
     let layout = Fs_layout.Layout.realize prog plan ~block in
     let config = C.default_config ~nprocs ~block in
     let cache = C.create ~max_addr:(Fs_layout.Layout.size layout) config in

@@ -43,11 +43,11 @@ let ingest_cache metrics ~proc_counts ~per_block =
    listener replay under the same layout.  Accesses come from the cache:
    the listener sits after the address translation, so they include the
    pointer loads an indirection layout injects.  The rest is one pass
-   over the recording.  A work counter registers on any Work event, even
-   of amount 0; every other series only when its count is nonzero.  The
-   tags and shifts mirror [Cell_event]'s packed layout, written inline
-   because its accessors are not inlined across modules; the listener
-   differential test pins them down. *)
+   over the recording's chunks, in place.  A work counter registers on
+   any Work event, even of amount 0; every other series only when its
+   count is nonzero.  The tags and shifts mirror [Cell_event]'s packed
+   layout, written inline because its accessors are not inlined across
+   modules; the listener differential test pins them down. *)
 let ingest_interp metrics ~proc_counts trace =
   let nprocs = Array.length proc_counts in
   let work = Array.make nprocs (-1) (* -1: no Work event yet *)
@@ -56,23 +56,25 @@ let ingest_interp metrics ~proc_counts trace =
   and grants = Array.make nprocs 0
   and contended = Array.make nprocs 0
   and releases = ref 0 in
-  let data = Cell_trace.unsafe_data trace in
-  for i = 0 to Cell_trace.length trace - 1 do
-    let packed = Array.unsafe_get data i in
-    let proc = (packed lsr 4) land 0xff in
-    match packed land 7 with
-    | 1 (* Work *) ->
-      let w = work.(proc) in
-      work.(proc) <- (if w < 0 then 0 else w) + (packed lsr 12)
-    | 2 (* Barrier_arrive *) -> arrivals.(proc) <- arrivals.(proc) + 1
-    | 3 (* Barrier_release *) -> incr releases
-    | 4 (* Lock_wait *) -> waits.(proc) <- waits.(proc) + 1
-    | 5 (* Lock_grant: from + 1 in bits 20-28 *) ->
-      if (packed lsr 20) land 0x1ff > 0 then
-        contended.(proc) <- contended.(proc) + 1
-      else grants.(proc) <- grants.(proc) + 1
-    | _ (* Access, counted by the cache; Steal, not translated *) -> ()
-  done;
+  Cell_trace.iter_chunks
+    (fun data n ->
+      for i = 0 to n - 1 do
+        let packed = Array.unsafe_get data i in
+        let proc = (packed lsr 4) land 0xff in
+        match packed land 7 with
+        | 1 (* Work *) ->
+          let w = work.(proc) in
+          work.(proc) <- (if w < 0 then 0 else w) + (packed lsr 12)
+        | 2 (* Barrier_arrive *) -> arrivals.(proc) <- arrivals.(proc) + 1
+        | 3 (* Barrier_release *) -> incr releases
+        | 4 (* Lock_wait *) -> waits.(proc) <- waits.(proc) + 1
+        | 5 (* Lock_grant: from + 1 in bits 20-28 *) ->
+          if (packed lsr 20) land 0x1ff > 0 then
+            contended.(proc) <- contended.(proc) + 1
+          else grants.(proc) <- grants.(proc) + 1
+        | _ (* Access, counted by the cache; Steal, not translated *) -> ()
+      done)
+    trace;
   let add ?(labels = []) name v =
     if v > 0 then Metrics.Counter.add (Metrics.counter metrics ~labels name) v
   in

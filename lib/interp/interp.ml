@@ -1,7 +1,7 @@
 module Ast = Fs_ir.Ast
 module Cells = Fs_ir.Cells
 module Layout = Fs_layout.Layout
-module Cell_listener = Fs_trace.Cell_listener
+module Cell_event = Fs_trace.Cell_event
 module Cell_trace = Fs_trace.Cell_trace
 module Sched = Fs_sched.Sched
 module Rng = Fs_util.Rng
@@ -110,7 +110,7 @@ type sched_state = {
 }
 
 (* Per process, [work] is the one counter [tick] advances.  The work not
-   yet reported to [cells] is [work - flushed], and the process reaches
+   yet reported to [push] is [work - flushed], and the process reaches
    its next scheduling point when [work] reaches [deadline].
 
    Turns.  The schedule is a sequence of turns: the scheduler resumes a
@@ -136,7 +136,7 @@ type ctx = {
   prog : Ast.program;
   nprocs : int;
   max_steps : int;
-  cells : Cell_listener.t;
+  push : int -> unit;  (* the sink of the packed events *)
   ginfos : (string, ginfo) Hashtbl.t;
   sched : sched_state option;
   work : int array;
@@ -160,12 +160,19 @@ let max_ahead = 64
 
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
+(* Work and Access events are packed inline: lib is compiled [-opaque],
+   so a [Cell_event] packer would be a call per event.  The shifts write
+   its layout (tag bits 0-2, write bit 3, proc 4-11, var 12-19, amount
+   12+, cell 20+); [run_cells] checks once that procs, var ids and cells
+   fit, and an amount that does not fit raises the packer's error. *)
 let[@inline] flush_work ctx proc =
   let w = ctx.work.(proc) in
   let amount = w - ctx.flushed.(proc) in
   if amount > 0 then begin
     ctx.flushed.(proc) <- w;
-    ctx.cells.Cell_listener.work ~proc ~amount
+    if amount > Cell_event.max_amount then
+      ignore (Cell_event.pack_work ~proc ~amount);
+    ctx.push (1 lor (proc lsl 4) lor (amount lsl 12))
   end
 
 let over_budget ctx =
@@ -249,7 +256,9 @@ let emit ctx g ~write ~proc cell =
   catch_up ctx proc;
   flush_work ctx proc;
   ctx.accesses.(proc) <- ctx.accesses.(proc) + 1;
-  ctx.cells.Cell_listener.access ~proc ~write ~var:g.vid ~cell;
+  ctx.push
+    ((if write then 8 else 0) lor (proc lsl 4) lor (g.vid lsl 12)
+    lor (cell lsl 20));
   tick_point ctx proc access_cost
 
 let lockinfo g cell =
@@ -266,11 +275,11 @@ let acquire ctx g ~proc cell =
   let l = lockinfo g cell in
   if l.owner < 0 then begin
     l.owner <- proc;
-    ctx.cells.Cell_listener.lock_grant ~proc ~var:g.vid ~cell ~from:(-1)
+    ctx.push (Cell_event.pack_lock_grant ~proc ~var:g.vid ~cell ~from:(-1))
   end
   else begin
     flush_work ctx proc;
-    ctx.cells.Cell_listener.lock_wait ~proc ~var:g.vid ~cell;
+    ctx.push (Cell_event.pack_lock_wait ~proc ~var:g.vid ~cell);
     Queue.add proc l.waiters;
     Effect.perform Lock_wait
   end
@@ -283,7 +292,8 @@ let release ctx g ~proc cell =
   | None -> l.owner <- -1
   | Some waiter ->
     l.owner <- waiter;
-    ctx.cells.Cell_listener.lock_grant ~proc:waiter ~var:g.vid ~cell ~from:proc;
+    ctx.push
+      (Cell_event.pack_lock_grant ~proc:waiter ~var:g.vid ~cell ~from:proc);
     make_ready ctx waiter
 
 (* ------------------------------------------------------------------ *)
@@ -377,7 +387,7 @@ let steal_from ctx s ~thief ~victim =
      | Some t ->
        s.s_steals <- s.s_steals + 1;
        flush_work ctx thief;
-       ctx.cells.Cell_listener.steal ~thief ~victim ~task:t.t_id
+       ctx.push (Cell_event.pack_steal ~thief ~victim ~task:t.t_id)
      | None -> ());
     t
   end
@@ -585,6 +595,22 @@ let int_test (op : Ast.binop) c1 c2 : env -> bool =
   | (Add | Sub | Mul | Div | Mod | And | Or | Min | Max), _, _ ->
     invalid_arg "Interp.int_test: not a comparison"
 
+(* Division by a literal [k], 0 < k < 2^30, with a multiply (Granlund &
+   Montgomery, PLDI 1994): for 0 <= x < 2^30, x / k = (x * m) lsr sh,
+   where sh = 30 + ceil(log2 k) and m = ceil(2^sh / k) <= 2^31, so x * m
+   stays below 2^61.  A power of two is a shift or a mask for any x >= 0.
+   Every other dividend or divisor takes [/] or [mod] itself, so negative
+   rounding and [Division_by_zero] are OCaml's. *)
+type divisor = Plain | Pow2 of int (* log2 k *) | Magic of int * int (* m, sh *)
+
+let divisor k =
+  let l = ref 0 in
+  if k <= 0 || k >= 1 lsl 30 then Plain
+  else begin
+    while 1 lsl !l < k do incr l done;
+    if 1 lsl !l = k then Pow2 !l else Magic (((1 lsl (30 + !l)) + k - 1) / k, 30 + !l)
+  end
+
 (* [Min]/[Max] keep [Value.binop]'s tie-breaking *)
 let int_binop (op : Ast.binop) c1 c2 : env -> int =
   match (op, c1, c2) with
@@ -594,18 +620,42 @@ let int_binop (op : Ast.binop) c1 c2 : env -> int =
   | Add, S s, K k -> fun env -> env.iprivs.(s) + k
   | Sub, S s, K k -> fun env -> env.iprivs.(s) - k
   | Mul, S s, K k -> fun env -> env.iprivs.(s) * k
-  | Div, S s, K k -> fun env -> env.iprivs.(s) / k
-  | Mod, S s, K k -> fun env -> env.iprivs.(s) mod k
+  | Div, S s, K k -> (
+    match divisor k with
+    | Pow2 p -> fun env -> let x = env.iprivs.(s) in if x >= 0 then x lsr p else x / k
+    | Magic (m, sh) ->
+      fun env -> let x = env.iprivs.(s) in if x lsr 30 = 0 then (x * m) lsr sh else x / k
+    | Plain -> fun env -> env.iprivs.(s) / k)
+  | Mod, S s, K k -> (
+    match divisor k with
+    | Pow2 _ -> fun env -> let x = env.iprivs.(s) in if x >= 0 then x land (k - 1) else x mod k
+    | Magic (m, sh) ->
+      fun env ->
+        let x = env.iprivs.(s) in
+        if x lsr 30 = 0 then x - (((x * m) lsr sh) * k) else x mod k
+    | Plain -> fun env -> env.iprivs.(s) mod k)
   | Min, S s, K k -> fun env -> let a = env.iprivs.(s) in if a <= k then a else k
   | Max, S s, K k -> fun env -> let a = env.iprivs.(s) in if a >= k then a else k
-  | (Add | Sub | Mul | Div | Mod | Min | Max), _, K k -> (
+  | Div, _, K k -> (
+    let f = int_fn c1 in
+    match divisor k with
+    | Pow2 p -> fun env -> let x = f env in if x >= 0 then x lsr p else x / k
+    | Magic (m, sh) ->
+      fun env -> let x = f env in if x lsr 30 = 0 then (x * m) lsr sh else x / k
+    | Plain -> fun env -> f env / k)
+  | Mod, _, K k -> (
+    let f = int_fn c1 in
+    match divisor k with
+    | Pow2 _ -> fun env -> let x = f env in if x >= 0 then x land (k - 1) else x mod k
+    | Magic (m, sh) ->
+      fun env -> let x = f env in if x lsr 30 = 0 then x - (((x * m) lsr sh) * k) else x mod k
+    | Plain -> fun env -> f env mod k)
+  | (Add | Sub | Mul | Min | Max), _, K k -> (
     let f = int_fn c1 in
     match op with
     | Add -> fun env -> f env + k
     | Sub -> fun env -> f env - k
     | Mul -> fun env -> f env * k
-    | Div -> fun env -> f env / k
-    | Mod -> fun env -> f env mod k
     | Min -> fun env -> let a = f env in if a <= k then a else k
     | _ -> fun env -> let a = f env in if a >= k then a else k)
   | (Add | Sub | Mul | Div | Mod | Min | Max), _, _ -> (
@@ -915,7 +965,7 @@ let compile ctx ~int_priv =
           tick ctx env.proc 1;
           catch_up ctx env.proc;
           flush_work ctx env.proc;
-          ctx.cells.Cell_listener.barrier_arrive ~proc:env.proc;
+          ctx.push (Cell_event.pack_barrier_arrive ~proc:env.proc);
           Effect.perform Barrier_wait
       | Lock lv ->
         let g, cellf = compile_lvalue lv in
@@ -984,16 +1034,23 @@ let compile ctx ~int_priv =
    another process from inside a handler would nest fiber stacks.)  The
    per-process handlers for the frequent effects are built once. *)
 
-let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~cells =
+let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~push =
   if nprocs <= 0 then invalid_arg "Interp.run_cells: nprocs must be positive";
+  if nprocs > Cell_event.max_proc + 1 then
+    invalid_arg "Interp.run_cells: more than 256 processes";
   (match Fs_ir.Validate.check prog with
    | Ok () -> ()
    | Error errs -> raise (Fs_ir.Validate.Invalid_program errs));
+  (* the range checks of the inline Access packing, once *)
+  if List.length prog.Ast.globals > Cell_event.max_var + 1 then
+    invalid_arg "Interp.run_cells: more than 256 globals";
   let int_global, int_priv = infer_ints prog in
   let ginfos = Hashtbl.create 16 in
   List.iteri
     (fun vid (name, gty) ->
       let n = Cells.count prog gty in
+      if n > Cell_event.max_wide_cell + 1 then
+        invalid_arg ("Interp.run_cells: too many cells in " ^ name);
       let gint = int_global name in
       Hashtbl.add ginfos name
         {
@@ -1054,7 +1111,7 @@ let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~cells =
       prog;
       nprocs;
       max_steps;
-      cells;
+      push;
       ginfos;
       sched = sched_state;
       work = Array.make nprocs 0;
@@ -1102,7 +1159,7 @@ let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~cells =
     let n_at = barrier_count () in
     if n_at > 0 && n_at = alive_count () then begin
       ctx.barrier_episodes <- ctx.barrier_episodes + 1;
-      ctx.cells.Cell_listener.barrier_release ();
+      ctx.push Cell_event.tag_barrier_release;
       Array.iteri (fun i s -> if s = At_barrier then make_ready ctx i) states
     end
   in
@@ -1246,8 +1303,7 @@ let vars prog = Array.of_list (List.map fst prog.Ast.globals)
 
 let record ?max_steps ?sched prog ~nprocs =
   let trace = Cell_trace.create ~vars:(vars prog) ~nprocs in
-  let r = run_cells ?max_steps ?sched prog ~nprocs ~cells:(Cell_trace.recorder trace) in
-  Cell_trace.compact trace;
+  let r = run_cells ?max_steps ?sched prog ~nprocs ~push:(Cell_trace.push trace) in
   (trace, r)
 
 let read_global r name cell =

@@ -19,10 +19,10 @@
 
     Execution is {e layout-free}: the interpreter names every shared
     reference by its abstract location — (variable id, cell id) — and
-    reports it through a {!Fs_trace.Cell_listener}.  Locks are likewise
+    hands it on as one packed {!Fs_trace.Cell_event}.  Locks are likewise
     identified by cell, so the schedule is a property of the program
     alone and one interpreted execution can be re-laid-out arbitrarily
-    often: {!record} captures the stream as a {!Fs_trace.Cell_trace},
+    often: {!record} pushes the stream into a {!Fs_trace.Cell_trace},
     and [Fs_replay.Replay] maps it to byte addresses under each layout.
     Spin waiting on a contended lock is modelled as test-and-test-and-set:
     the initial probe read, then silence while spinning on the locally
@@ -48,10 +48,13 @@ val run_cells :
   ?sched:Fs_sched.Sched.config ->
   Fs_ir.Ast.program ->
   nprocs:int ->
-  cells:Fs_trace.Cell_listener.t ->
+  push:(int -> unit) ->
   result
-(** One interpreted execution, events delivered at cell granularity;
-    {!record} is the wrapper that captures them.
+(** One interpreted execution, each event handed to [push] in program
+    order, packed as {!Fs_trace.Cell_event.pack} packs it.  Access and
+    Work events are packed inline, so their ranges are checked once up
+    front: at most 256 processes and 256 globals, and no global with
+    more than [Cell_event.max_wide_cell + 1] cells.
 
     A process executes 12 work units between scheduling points (an
     access costs 3 units, other statements 1).  The count is a fixed
@@ -64,6 +67,7 @@ val run_cells :
     silent default, because the seed is part of the experiment's
     identity.  For programs without tasks, [sched] is ignored.
 
+    @raise Invalid_argument when [nprocs] or the program exceeds them
     @raise Runtime_error on dynamic errors (bad index, float index,
       division by zero, unlock of a lock not held, missing return value)
     @raise Deadlock when no process can make progress

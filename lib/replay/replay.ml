@@ -1,7 +1,6 @@
 module Layout = Fs_layout.Layout
 module Cell_event = Fs_trace.Cell_event
 module Cell_trace = Fs_trace.Cell_trace
-module Cell_listener = Fs_trace.Cell_listener
 module Listener = Fs_trace.Listener
 module Mpcache = Fs_cache.Mpcache
 module Ksr = Fs_machine.Ksr
@@ -27,38 +26,13 @@ let oracle layout ~vars =
     extra = Array.map (fun name -> (lookup name).Layout.extra) vars;
   }
 
-let translating o (l : Listener.t) : Cell_listener.t =
-  {
-    access =
-      (fun ~proc ~write ~var ~cell ->
-        (* an indirection layout interposes a pointer cell: the read of the
-           pointer happens before the data reference it redirects *)
-        let extra = o.extra.(var) in
-        if Array.length extra > 0 && extra.(cell) >= 0 then
-          l.Listener.access ~proc ~write:false ~addr:extra.(cell);
-        l.Listener.access ~proc ~write ~addr:o.addr.(var).(cell));
-    work = l.Listener.work;
-    barrier_arrive = l.Listener.barrier_arrive;
-    barrier_release = l.Listener.barrier_release;
-    lock_wait =
-      (fun ~proc ~var ~cell ->
-        l.Listener.lock_wait ~proc ~addr:o.addr.(var).(cell));
-    lock_grant =
-      (fun ~proc ~var ~cell ~from ->
-        l.Listener.lock_grant ~proc ~addr:o.addr.(var).(cell) ~from);
-    (* steals are scheduling annotations, not memory traffic: they have
-       no address under any layout, so the translation drops them — the
-       deque traffic they caused is already in the stream as accesses *)
-    steal = (fun ~thief:_ ~victim:_ ~task:_ -> ());
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The replay engine: packed events -> address oracle -> consumer, with
    no event unpacking and no per-event allocation.  One loop serves every
-   source: an in-memory trace is one chunk (cut at the flight interval
-   when a recorder samples it), an on-disk trace one chunk per block,
-   decoded into a single reused buffer.  Every body keeps its state in
-   the call that runs it, so replays may run at once. *)
+   source: an in-memory trace is read chunk by chunk in place (cut also
+   at the flight interval when a recorder samples it), an on-disk trace
+   one chunk per block, decoded into a single reused buffer.  Every body
+   keeps its state in the call that runs it, so replays may run at once. *)
 
 type run = { counts : Mpcache.counts; epochs : Mpcache.counts array array }
 
@@ -110,7 +84,8 @@ let walk_extra cache addr extra cuts data lo hi =
 
 (* The full-event bodies match on the [Cell_event] tag values and
    mirror [packed_amount], [packed_grant_from1] and [packed_grant_cell];
-   steals carry no address and are dropped, as [translating] does. *)
+   steals carry no address and are dropped: the deque traffic a steal
+   caused is already in the stream as accesses. *)
 let walk_full addr extra (l : Listener.t) data lo hi =
   for i = lo to hi - 1 do
     let packed = Array.unsafe_get data i in
@@ -174,9 +149,10 @@ let run_chunks ?flight ~vars ~layout ~cache source =
     else walk_plain cache addr
   in
   let cuts = ref [] in
-  let chunk =
+  (* [finish] runs after the last chunk *)
+  let chunk, finish =
     match flight with
-    | None -> fun data lo hi -> walk cuts data lo hi
+    | None -> ((fun data lo hi -> walk cuts data lo hi), ignore)
     | Some fr ->
       (* block size is a power of two (enforced by Mpcache) *)
       let bshift =
@@ -185,30 +161,39 @@ let run_chunks ?flight ~vars ~layout ~cache source =
         while 1 lsl !s < b do incr s done;
         !s
       in
-      let counts = Mpcache.counts cache in
+      let counts = Mpcache.counts cache and interval = Flight.interval fr in
       (* events retired so far, and the data address of the most recent
-         access before the current chunk (0 before any access) *)
+         access (0 before any access) *)
       let pos = ref 0 and last_addr = ref 0 in
-      Flight.start fr;
-      fun data lo hi ->
-        walk cuts data lo hi;
-        pos := !pos + (hi - lo);
-        (* off the hot path: one backward scan per chunk, which almost
-           always stops within a few events *)
-        let rec find i =
-          if i >= lo then
-            let packed = Array.unsafe_get data i in
-            if Cell_event.packed_is_access packed then
-              last_addr :=
-                addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
-                                                       packed)
-            else find (i - 1)
-        in
-        find (hi - 1);
+      let sample () =
         Flight.sample fr ~at_event:(!pos - 1) ~counts
           ~block:(!last_addr lsr bshift)
+      in
+      Flight.start fr;
+      ( (fun data lo hi ->
+          walk cuts data lo hi;
+          pos := !pos + (hi - lo);
+          (* off the hot path: one backward scan per chunk, which almost
+             always stops within a few events; a chunk without an access
+             keeps the address of an earlier one *)
+          let rec find i =
+            if i >= lo then
+              let packed = Array.unsafe_get data i in
+              if Cell_event.packed_is_access packed then
+                last_addr :=
+                  addr.(Cell_event.packed_var packed).(Cell_event.packed_cell
+                                                         packed)
+              else find (i - 1)
+          in
+          find (hi - 1);
+          (* the source cuts a chunk at every multiple of the interval,
+             and may cut at others; those are not sampled *)
+          if !pos mod interval = 0 then sample ()),
+        (* a run that ends between two multiples samples its end *)
+        fun () -> if !pos mod interval <> 0 then sample () )
   in
   source chunk;
+  finish ();
   (* telescoping snapshot deltas; the tail epoch (after the last release,
      or the whole run when there is none) closes against the final
      counts, so the epochs always sum to the totals *)
@@ -224,22 +209,26 @@ let run_chunks ?flight ~vars ~layout ~cache source =
   in
   { counts = Mpcache.counts cache; epochs }
 
-(* The chunks of an in-memory trace: [step] events each, or one chunk. *)
-let trace_chunks ?step trace f =
-  let data = Cell_trace.unsafe_data trace in
-  let n = Cell_trace.length trace in
-  let step = Option.value step ~default:n in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + step) in
-    f data !lo hi;
-    lo := hi
-  done
+(* The chunks of an in-memory trace, in place, each cut also at every
+   multiple of [step] events from the start of the trace. *)
+let trace_chunks ?(step = max_int) trace f =
+  let base = ref 0 in
+  Cell_trace.iter_chunks
+    (fun data n ->
+      let lo = ref 0 in
+      while !lo < n do
+        let hi = !lo + min (n - !lo) (step - ((!base + !lo) mod step)) in
+        f data !lo hi;
+        lo := hi
+      done;
+      base := !base + n)
+    trace
 
 let simulate ?flight trace ~layout ~cache =
-  (* a recorder samples once per chunk, so its interval cuts the chunks;
-     the final partial chunk also deposits a sample, so short traces
-     still record their end state *)
+  (* a recorder samples at every multiple of its interval, so the
+     interval cuts the chunks; the end of a run between two multiples
+     also deposits a sample, so short traces still record their end
+     state *)
   let step = Option.map Flight.interval flight in
   run_chunks ?flight ~vars:(Cell_trace.vars trace) ~layout ~cache
     (trace_chunks ?step trace)

@@ -2,8 +2,8 @@
 
     The interpreter decides {e what} is accessed in {e which} order; a
     layout decides {e where} each cell lives.  This module is the second
-    half of that split: it routes a {!Fs_trace.Cell_trace} (or a live
-    cell-event stream) through a layout's address oracle, producing
+    half of that split: it routes a {!Fs_trace.Cell_trace} (in memory or
+    on disk) through a layout's address oracle, producing
     exactly the address-level stream the simulators consume — including
     the pointer-load reads an indirection layout interposes, which exist
     only at replay time.
@@ -14,23 +14,12 @@
     layouts meaningful (the paper's simulator "only observes the address
     stream"). *)
 
-type oracle
-
-val oracle : Fs_layout.Layout.t -> vars:string array -> oracle
-(** Resolve the per-variable address tables once.
-    @raise Invalid_argument when the layout lacks one of [vars]. *)
-
-val translating : oracle -> Fs_trace.Listener.t -> Fs_trace.Cell_listener.t
-(** The translation itself: the interpreter's direct path wires its cell
-    stream straight into this, and the tests' reference replay of a
-    recorded trace routes every unpacked event through it. *)
-
 (** {1 The replay engine}
 
     One chunked loop over packed events, decoded inline and mapped
-    through the oracle's flat arrays, with no per-event allocation.  Its
-    bodies feed a {!Fs_cache.Mpcache} ({!simulate}), the KSR2 model
-    ({!machine}) or a listener ({!drive}).  The cache counts equal those
+    through the layout's per-variable address tables, with no per-event
+    allocation.  Its bodies feed a {!Fs_cache.Mpcache} ({!simulate}),
+    the KSR2 model ({!machine}) or a listener ({!drive}).  The cache counts equal those
     of {!drive} into [Listener.of_sink (Mpcache.touch cache)], per
     processor and per block too. *)
 
@@ -54,10 +43,12 @@ val simulate :
 (** Replay an in-memory trace into [cache].
 
     Passing [?flight] deposits one allocation-free sample into the
-    {!Flight} ring every [Flight.interval] packed events (live cumulative
-    counts, wall offset, block of the most recent access), at chunk
-    boundaries, so the per-event loop is the same with or without a
-    recorder and the counts are identical.
+    {!Flight} ring every [Flight.interval] packed events from the start
+    of the trace, and one at its end when that falls between two
+    multiples (live cumulative counts, wall offset, block of the most
+    recent access).  Samples are taken between chunks, so the per-event
+    loop is the same with or without a recorder and the counts are
+    identical.
     @raise Invalid_argument when the layout lacks a variable or cell the
     trace touches (a trace of another program or scale). *)
 

@@ -44,8 +44,9 @@ let out_of_range what v limit =
 
 let[@inline] check what v limit = if v < 0 || v > limit then out_of_range what v limit
 
-(* Checked packers, one per tag: the recorders call these straight from
-   their listener callbacks, so no event variant is built per event. *)
+(* Checked packers, one per tag, so no event variant is built per event.
+   The interpreter packs its Access and Work events inline instead, with
+   the range checks made once per run. *)
 let pack_access ~proc ~write ~var ~cell =
   check "proc" proc max_proc;
   check "var" var max_var;

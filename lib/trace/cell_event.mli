@@ -33,8 +33,9 @@ val pack : t -> int
 (** {1 Checked packing per tag}
 
     [pack] of the matching constructor, with the same range checks and
-    the same [Invalid_argument] text, without building the variant: the
-    recorders call these once per event. *)
+    the same [Invalid_argument] text, without building the variant.  The
+    interpreter packs Access and Work events inline, with their range
+    checks made once per run, and calls these for the rest. *)
 
 val pack_access : proc:int -> write:bool -> var:int -> cell:int -> int
 val pack_work : proc:int -> amount:int -> int

@@ -1,7 +1,7 @@
 (* Recording appends to chunks that double in size up to a cap, so it
    never copies or re-initialises what it already holds (regrowing one
-   array cost more than packing the events).  [compact], or else the
-   first read, joins the chunks into the one array every reader walks. *)
+   array cost more than packing the events).  Every reader walks the
+   chunks in place: the trace is never joined into one array. *)
 type t = {
   vars : string array;
   ids : (string, int) Hashtbl.t;  (* name -> variable id, built once *)
@@ -10,7 +10,6 @@ type t = {
   mutable cur : int array;          (* the chunk being filled *)
   mutable pos : int;                (* events in [cur] *)
   mutable len : int;
-  mutable joined : int array;       (* all [len] events, when up to date *)
 }
 
 let max_chunk = 1 lsl 16
@@ -32,7 +31,6 @@ let create ~vars ~nprocs =
     cur = Array.make 1024 0;
     pos = 0;
     len = 0;
-    joined = [||];
   }
 
 let vars t = t.vars
@@ -42,7 +40,7 @@ let length t = t.len
 let var_id t name = Hashtbl.find_opt t.ids name
 
 let next_chunk t =
-  t.chunks <- t.cur :: t.chunks;
+  if t.pos > 0 then t.chunks <- t.cur :: t.chunks;
   t.cur <- Array.make (max 1024 (min max_chunk (2 * t.pos))) 0;
   t.pos <- 0
 
@@ -52,53 +50,47 @@ let push t packed =
   t.pos <- t.pos + 1;
   t.len <- t.len + 1
 
-(* the events in one array of exactly [len], joined on the first read
-   after a push; later pushes start a fresh chunk after it *)
-let data t =
-  if Array.length t.joined <> t.len then begin
-    let joined = Array.concat (List.rev (Array.sub t.cur 0 t.pos :: t.chunks)) in
-    t.chunks <- [];
-    t.cur <- joined;
-    t.pos <- t.len;
-    t.joined <- joined
-  end;
-  t.joined
+(* the chunks in trace order, with their event counts *)
+let chunk_list t =
+  List.rev_map (fun c -> (c, Array.length c)) t.chunks
+  @ if t.pos > 0 then [ (t.cur, t.pos) ] else []
 
-(* Every recorder (in memory, and the streaming writer) packs through
-   the checked per-tag packers: no event variant is built per event. *)
-let listener_of_push push =
-  {
-    Cell_listener.access =
-      (fun ~proc ~write ~var ~cell ->
-        push (Cell_event.pack_access ~proc ~write ~var ~cell));
-    work = (fun ~proc ~amount -> push (Cell_event.pack_work ~proc ~amount));
-    barrier_arrive = (fun ~proc -> push (Cell_event.pack_barrier_arrive ~proc));
-    barrier_release = (fun () -> push Cell_event.tag_barrier_release);
-    lock_wait =
-      (fun ~proc ~var ~cell -> push (Cell_event.pack_lock_wait ~proc ~var ~cell));
-    lock_grant =
-      (fun ~proc ~var ~cell ~from ->
-        push (Cell_event.pack_lock_grant ~proc ~var ~cell ~from));
-    steal =
-      (fun ~thief ~victim ~task ->
-        push (Cell_event.pack_steal ~thief ~victim ~task));
-  }
-
-let recorder t = listener_of_push (push t)
+let iter_chunks f t = List.iter (fun (c, n) -> f c n) (chunk_list t)
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Cell_trace.get: out of range";
-  Cell_event.unpack (data t).(i)
+  let rec find i = function
+    | (c, n) :: later -> if i < n then c.(i) else find (i - n) later
+    | [] -> assert false
+  in
+  Cell_event.unpack (find i (chunk_list t))
 
-let iter_packed f t = Array.iter f (data t)
-
-let unsafe_data = data
-let compact t = ignore (data t)
+let iter_packed f t =
+  iter_chunks
+    (fun data n ->
+      for i = 0 to n - 1 do
+        f (Array.unsafe_get data i)
+      done)
+    t
 
 let iter f t = iter_packed (fun packed -> f (Cell_event.unpack packed)) t
 
+(* [b]'s chunks need not cut where [a]'s do: a cursor walks them *)
 let equal a b =
-  a.nprocs = b.nprocs && a.vars = b.vars && a.len = b.len && data a = data b
+  let rest = ref (chunk_list b) and k = ref 0 and same = ref true in
+  a.nprocs = b.nprocs && a.vars = b.vars && a.len = b.len
+  && begin
+    iter_packed
+      (fun x ->
+        match !rest with
+        | (c, n) :: more ->
+          same := !same && x = c.(!k);
+          incr k;
+          if !k = n then (rest := more; k := 0)
+        | [] -> same := false)
+      a;
+    !same
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Disk format.  Little-endian with 64-bit header fields: delta/varint
@@ -426,7 +418,6 @@ module Writer = struct
     done
 
   let length t = t.total
-  let recorder t = listener_of_push (push t)
 
   let write_index t =
     flush_block t;
@@ -476,7 +467,7 @@ end
 let write_file ?block_events t path =
   let w = Writer.create ?block_events ~vars:t.vars ~nprocs:t.nprocs path in
   match
-    Writer.push_array w (data t) t.len;
+    iter_chunks (Writer.push_array w) t;
     Writer.close w
   with
   | () -> ()
@@ -905,5 +896,4 @@ let read_file path =
         cur = data;
         pos = info.i_total;
         len = info.i_total;
-        joined = data;
       })

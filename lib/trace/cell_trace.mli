@@ -15,13 +15,9 @@ val create : vars:string array -> nprocs:int -> t
     @raise Invalid_argument on a non-positive [nprocs] or more than 256
     variables. *)
 
-val recorder : t -> Cell_listener.t
-(** Appends every delivered event to the trace.  Recording fills chunks;
-    the first read joins them into one array (one copy). *)
-
-val compact : t -> unit
-(** Join the recorded chunks now rather than on the first read, so a
-    recording's cost stays with the recording. *)
+val push : t -> int -> unit
+(** Append one packed event.  Recording fills chunks that double in size
+    up to 65536 events; nothing already recorded is copied or joined. *)
 
 val vars : t -> string array
 val nprocs : t -> int
@@ -35,10 +31,11 @@ val get : t -> int -> Cell_event.t
 val iter : (Cell_event.t -> unit) -> t -> unit
 val iter_packed : (int -> unit) -> t -> unit
 
-val unsafe_data : t -> int array
-(** The packed events, [length t] of them, in one array that must not be
-    mutated; it is exposed so the fused replay loop can iterate without a
-    per-event closure call. *)
+val iter_chunks : (int array -> int -> unit) -> t -> unit
+(** [iter_chunks f t] calls [f data n] for each chunk in trace order,
+    its packed events [data.(0 .. n - 1)] read in place (not to be
+    mutated).  Where a chunk ends is not part of the trace: a reader
+    that cuts at fixed event positions counts across chunks. *)
 
 val equal : t -> t -> bool
 
@@ -88,12 +85,9 @@ module Writer : sig
       [block_events]. *)
 
   val push : t -> int -> unit
-  (** Append one packed event.
+  (** Append one packed event: pass [push w] to [Interp.run_cells] to
+      record without materializing the trace.
       @raise Invalid_argument after {!close} / {!abort}. *)
-
-  val recorder : t -> Cell_listener.t
-  (** A listener that pushes every delivered event — plug it into
-      [Interp.run_cells] to record without materializing the trace. *)
 
   val length : t -> int
   (** Events pushed so far. *)

@@ -347,14 +347,13 @@ module W = Fs_workloads.Workload
 module Sched = Fs_sched.Sched
 
 let trace_crc t =
-  let data = Cell_trace.unsafe_data t in
   let crc = ref Fs_util.Crc32.start in
-  for i = 0 to Cell_trace.length t - 1 do
-    let x = data.(i) in
-    for k = 0 to 7 do
-      crc := Fs_util.Crc32.byte !crc ((x lsr (8 * k)) land 0xff)
-    done
-  done;
+  Cell_trace.iter_packed
+    (fun x ->
+      for k = 0 to 7 do
+        crc := Fs_util.Crc32.byte !crc ((x lsr (8 * k)) land 0xff)
+      done)
+    t;
   Fs_util.Crc32.finish !crc
 
 (* the work-stealing seeds the benchmark's taskbag runs use *)
@@ -537,7 +536,7 @@ let test_nontermination_trace_length () =
   let trace = Cell_trace.create ~vars:(Interp.vars p) ~nprocs:3 in
   match
     Interp.run_cells ~max_steps:10_000 p ~nprocs:3
-      ~cells:(Cell_trace.recorder trace)
+      ~push:(Cell_trace.push trace)
   with
   | _ -> Alcotest.fail "expected nontermination guard"
   | exception Interp.Nontermination _ ->
@@ -561,7 +560,7 @@ let test_error_trace_length () =
                   [ set "s" (p "s" /% (p "s" -% p "s")) ] ] ] ]
   in
   let trace = Cell_trace.create ~vars:(Interp.vars p) ~nprocs:4 in
-  match Interp.run_cells p ~nprocs:4 ~cells:(Cell_trace.recorder trace) with
+  match Interp.run_cells p ~nprocs:4 ~push:(Cell_trace.push trace) with
   | _ -> Alcotest.fail "expected Division_by_zero"
   | exception Division_by_zero ->
     Alcotest.(check int) "events at the error" pinned_error_events
@@ -679,3 +678,92 @@ let test_typed_eval =
       | _ -> false)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest test_typed_eval ]
+
+(* Division by a literal.  [/] and [%] by an int literal compile to a
+   multiply and shift, or a shift and mask for a power of two, on their
+   fast path; every program must still compute what OCaml's [/] and
+   [mod] compute, raise [Division_by_zero] on a zero divisor, and round
+   negative dividends as OCaml does.  Each case runs a tiny program over
+   the operand shapes the compiler writes out: a private slot, any other
+   int expression, and a literal, each divided by the literal [k]. *)
+
+let divide_by_literal x k =
+  let open Dsl in
+  let x2 = neg (neg (p "x")) in
+  let prog =
+    dsl_prog [ ("out", arr int_t 6) ]
+      [ fn "main" []
+          [ decl "x" (i x);
+            (v "out").%(i 0) <-- (p "x" /% i k);
+            (v "out").%(i 1) <-- (p "x" %% i k);
+            (v "out").%(i 2) <-- (x2 /% i k);
+            (v "out").%(i 3) <-- (x2 %% i k);
+            (v "out").%(i 4) <-- (i x /% i k);
+            (v "out").%(i 5) <-- (i x %% i k) ] ]
+  in
+  let expected = outcome (fun () -> [ x / k; x mod k; x / k; x mod k; x / k; x mod k ]) in
+  let actual =
+    outcome (fun () ->
+        let r = snd (Interp.record prog ~nprocs:1) in
+        List.init 6 (fun j -> int_of (Interp.read_global r "out" j)))
+  in
+  expected = actual
+
+let edge_dividends =
+  let e = 1 lsl 30 in
+  [ 0; 1; -1; 2; -2; 65536; 65537; -65537; e - 1; e; e + 1; -(e - 1); -e;
+    -(e + 1); (1 lsl 31) + 5; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let edge_divisors =
+  let e = 1 lsl 30 in
+  List.init 30 (fun p -> 1 lsl p)
+  @ [ 3; 7; 10; 12; 65535; 65537; e - 1; e; e + 1; 0; -1; -2; -3; -65537;
+      max_int; min_int ]
+
+let test_divide_by_literal_edges () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun x ->
+          if not (divide_by_literal x k) then
+            Alcotest.failf "%d / %d and %d mod %d differ from OCaml's" x k x k)
+        edge_dividends)
+    edge_divisors
+
+let test_divide_by_literal =
+  let gen =
+    let open QCheck.Gen in
+    let e = 1 lsl 30 in
+    let k =
+      oneof
+        [ int_range 1 65537;
+          map (fun p -> 1 lsl p) (int_range 0 29);
+          oneofl [ e - 1; e; e + 1; 0 ];
+          map (fun k -> -k) (int_range 1 65537);
+          int ]
+    in
+    let x =
+      oneof
+        [ int; int_range 0 (e - 1); int_range (-e) e; oneofl edge_dividends;
+          map (fun d -> e + d) (int_range (-2) 2);
+          map (fun d -> -e + d) (int_range (-2) 2) ]
+    in
+    (* the dividends a multiply is likeliest to get wrong: remainder
+       k - 1, just past the fast path's 2^30 bound *)
+    let worst =
+      let* k = int_range 2 (e - 1) in
+      let* x = int_range e (2 * e) in
+      return ((x / k * k) + k - 1, k)
+    in
+    oneof [ pair x k; worst ]
+  in
+  QCheck.Test.make ~name:"division by a literal matches OCaml's / and mod"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair int int) gen)
+    (fun (x, k) -> divide_by_literal x k)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "division by a literal: powers of two and 2^30 edges"
+        `Quick test_divide_by_literal_edges;
+      QCheck_alcotest.to_alcotest test_divide_by_literal ]

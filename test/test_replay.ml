@@ -325,8 +325,8 @@ let test_disk_roundtrip_edges () =
   Alcotest.(check (option int)) "var table survives empty trace" (Some 1)
     (Cell_trace.var_id back "b");
   let one = Cell_trace.create ~vars:[| "x" |] ~nprocs:1 in
-  let r = Cell_trace.recorder one in
-  r.Fs_trace.Cell_listener.access ~proc:0 ~write:true ~var:0 ~cell:7;
+  Cell_trace.push one
+    (Cell_event.pack_access ~proc:0 ~write:true ~var:0 ~cell:7);
   let back = roundtrip "one-event trace" one in
   Alcotest.check
     (Alcotest.testable Cell_event.pp ( = ))
@@ -424,7 +424,7 @@ let test_sim_recorded_counts () =
    and 8 processors.  The two routes share the model's cost code and the
    layout's address tables; one decodes packed events and charges hits
    and work in place, the other hears the interpreter through
-   [Replay.translating]. *)
+   [Tutil.translating]. *)
 let test_ksr_engine_vs_interp () =
   let module Ksr = Fs_machine.Ksr in
   let nprocs = 8 and scale = 1 in
@@ -465,6 +465,62 @@ let test_ksr_engine_vs_interp () =
         [ W.N; W.C ])
     Ws.every
 
+(* A recording is read in place, chunk by chunk.  Replaying one that
+   spans several recorder chunks must give what the same events give
+   held as one array (as [read_file] returns them): the same counts and
+   epochs, and flight samples at the same events with the same counts
+   and block.  The interval divides none of the chunk sizes, so samples
+   fall inside chunks and a chunk cut is never a sample point. *)
+let test_chunked_replay () =
+  let module Flight = Fs_replay.Flight in
+  let module C = Fs_cache.Mpcache in
+  let nprocs = 4 in
+  let prog = (Ws.find "pverify").W.build ~nprocs ~scale:1 in
+  let trace = fst (Interp.record prog ~nprocs) in
+  let path = Filename.temp_file "chunks" ".fstrace" in
+  Cell_trace.write_file trace path;
+  let whole = Cell_trace.read_file path in
+  Sys.remove path;
+  let chunks t =
+    let n = ref 0 in
+    Cell_trace.iter_chunks (fun _ _ -> incr n) t;
+    !n
+  in
+  Alcotest.(check bool) "the recording spans several chunks" true
+    (chunks trace > 3);
+  Alcotest.(check int) "the file's copy is one array" 1 (chunks whole);
+  let interval = 1000 in
+  let layout = Layout.default prog ~block:64 in
+  let run t =
+    let flight =
+      Flight.create ~interval
+        ~capacity:((Cell_trace.length t / interval) + 2)
+        ()
+    in
+    let cache =
+      C.create ~max_addr:(Layout.size layout) (C.default_config ~nprocs ~block:64)
+    in
+    let r = Replay.simulate ~flight t ~layout ~cache in
+    let samples =
+      List.map
+        (fun (s : Flight.sample) ->
+          ( s.s_event,
+            [ s.s_reads; s.s_writes; s.s_cold; s.s_repl; s.s_true_sh;
+              s.s_false_sh; s.s_block ] ))
+        (Flight.samples flight)
+    in
+    (r.Replay.counts, r.Replay.epochs, samples)
+  in
+  let counts, epochs, samples = run trace in
+  let counts', epochs', samples' = run whole in
+  Alcotest.(check bool) "counts" true (counts = counts');
+  Alcotest.(check bool) "epochs" true (epochs = epochs');
+  Alcotest.(check (list int)) "sample events"
+    (List.init ((Cell_trace.length trace + interval - 1) / interval)
+       (fun k -> min (((k + 1) * interval) - 1) (Cell_trace.length trace - 1)))
+    (List.map fst samples);
+  Alcotest.(check bool) "sample counts and blocks" true (samples = samples')
+
 let suite =
   [ Alcotest.test_case "replay equivalence (all benchmarks)" `Quick
       test_equivalence;
@@ -485,4 +541,6 @@ let suite =
     Alcotest.test_case "jobs independence" `Quick test_jobs_independence;
     Alcotest.test_case "sim replay counts" `Quick test_sim_recorded_counts;
     Alcotest.test_case "KSR2 engine = interpreter (every workload x {N,C})"
-      `Quick test_ksr_engine_vs_interp ]
+      `Quick test_ksr_engine_vs_interp;
+    Alcotest.test_case "chunked recording replays as one array" `Quick
+      test_chunked_replay ]

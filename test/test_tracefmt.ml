@@ -295,7 +295,7 @@ let test_recorder_matches_write_file () =
                 in
                 ignore
                   (Interp.run_cells ?sched prog ~nprocs
-                     ~cells:(Ct.Writer.recorder wr));
+                     ~push:(Ct.Writer.push wr));
                 Ct.Writer.close wr)
           in
           Alcotest.(check bool)
@@ -315,9 +315,12 @@ let test_failed_write_leaves_nothing () =
   (* proc 3 in a one-processor trace: [create] and [push] accept it, the
      encoder refuses it against the header *)
   let trace = Ct.create ~vars:[| "x" |] ~nprocs:1 in
-  let r = Ct.recorder trace in
-  r.Fs_trace.Cell_listener.access ~proc:0 ~write:false ~var:0 ~cell:0;
-  r.Fs_trace.Cell_listener.access ~proc:3 ~write:true ~var:0 ~cell:1;
+  let access proc write cell =
+    Ct.push trace
+      (Fs_trace.Cell_event.pack_access ~proc ~write ~var:0 ~cell)
+  in
+  access 0 false 0;
+  access 3 true 1;
   let path = tmp "fail" in
   Sys.remove path;
   (match Ct.write_file trace path with

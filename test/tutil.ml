@@ -151,34 +151,89 @@ let check_histogram what samples name labels =
   ignore (float_of_string (find_sample what samples (name ^ "_sum") labels))
 
 (* ------------------------------------------------------------------ *)
-(* The direct-interpret path: one interpretation whose cell stream is
-   translated through the layout's address oracle as it is produced
-   (with an indirection, the injected pointer load comes before the data
-   access).  Replaying a recorded trace must deliver exactly this stream:
-   the "replay = reinterpret" oracle. *)
+(* The cell-level twin of [Fs_trace.Listener]: one closure per event
+   kind, naming locations as (var id, cell id) rather than byte
+   addresses.  The reference paths below deliver every event through
+   one, unpacked; the replay engine reads the packed events instead. *)
+
+module Cell_listener = struct
+  type t = {
+    access : proc:int -> write:bool -> var:int -> cell:int -> unit;
+    work : proc:int -> amount:int -> unit;
+    barrier_arrive : proc:int -> unit;
+    barrier_release : unit -> unit;
+    lock_wait : proc:int -> var:int -> cell:int -> unit;
+    lock_grant : proc:int -> var:int -> cell:int -> from:int -> unit;
+    steal : thief:int -> victim:int -> task:int -> unit;
+  }
+
+  let dispatch t = function
+    | Fs_trace.Cell_event.Access { proc; write; var; cell } ->
+      t.access ~proc ~write ~var ~cell
+    | Work { proc; amount } -> t.work ~proc ~amount
+    | Barrier_arrive { proc } -> t.barrier_arrive ~proc
+    | Barrier_release -> t.barrier_release ()
+    | Lock_wait { proc; var; cell } -> t.lock_wait ~proc ~var ~cell
+    | Lock_grant { proc; var; cell; from } -> t.lock_grant ~proc ~var ~cell ~from
+    | Steal { thief; victim; task } -> t.steal ~thief ~victim ~task
+end
+
+(* The translation of a cell stream to an address stream under one
+   layout: an indirection layout interposes a pointer cell, whose read
+   comes before the data reference it redirects.  Steals are scheduling
+   annotations with no address under any layout, so they are dropped;
+   the deque traffic they caused is in the stream as accesses. *)
+let translating layout ~vars (l : Fs_trace.Listener.t) : Cell_listener.t =
+  let vls =
+    Array.map
+      (fun name ->
+        match Fs_layout.Layout.lookup layout name with
+        | vl -> vl
+        | exception Not_found ->
+          invalid_arg ("Tutil.translating: layout has no variable " ^ name))
+      vars
+  in
+  let addr var cell = vls.(var).Fs_layout.Layout.addr.(cell) in
+  {
+    access =
+      (fun ~proc ~write ~var ~cell ->
+        let extra = vls.(var).Fs_layout.Layout.extra in
+        if Array.length extra > 0 && extra.(cell) >= 0 then
+          l.access ~proc ~write:false ~addr:extra.(cell);
+        l.access ~proc ~write ~addr:(addr var cell));
+    work = l.work;
+    barrier_arrive = l.barrier_arrive;
+    barrier_release = l.barrier_release;
+    lock_wait = (fun ~proc ~var ~cell -> l.lock_wait ~proc ~addr:(addr var cell));
+    lock_grant =
+      (fun ~proc ~var ~cell ~from ->
+        l.lock_grant ~proc ~addr:(addr var cell) ~from);
+    steal = (fun ~thief:_ ~victim:_ ~task:_ -> ());
+  }
+
+(* The direct-interpret path: one interpretation whose events are
+   translated through the layout as they are produced, each unpacked
+   and dispatched.  Replaying a recorded trace must deliver exactly this
+   stream: the "replay = reinterpret" oracle. *)
 
 let run ?max_steps ?sched prog ~nprocs ~layout ~listener =
-  let oracle =
-    Fs_replay.Replay.oracle layout ~vars:(Fs_interp.Interp.vars prog)
-  in
-  Fs_interp.Interp.run_cells ?max_steps ?sched prog ~nprocs
-    ~cells:(Fs_replay.Replay.translating oracle listener)
+  let cells = translating layout ~vars:(Fs_interp.Interp.vars prog) listener in
+  Fs_interp.Interp.run_cells ?max_steps ?sched prog ~nprocs ~push:(fun packed ->
+      Cell_listener.dispatch cells (Fs_trace.Cell_event.unpack packed))
 
 let run_to_sink ?max_steps ?sched prog ~nprocs ~layout ~sink =
   run ?max_steps ?sched prog ~nprocs ~layout
     ~listener:(Fs_trace.Listener.of_sink sink)
 
 (* The reference listener replay: a recorded trace unpacked event by
-   event and routed through [Replay.translating], the translation the
-   direct path above uses, with none of the replay engine's packed
-   decode.  The oracle every engine body is checked against. *)
+   event and routed through [translating], the translation the direct
+   path above uses, with none of the replay engine's packed decode.  The
+   oracle every engine body is checked against. *)
 
 let listener_replay trace ~layout ~listener =
-  let o =
-    Fs_replay.Replay.oracle layout ~vars:(Fs_trace.Cell_trace.vars trace)
-  in
   Fs_trace.Cell_trace.iter
-    (Fs_trace.Cell_listener.dispatch (Fs_replay.Replay.translating o listener))
+    (Cell_listener.dispatch
+       (translating layout ~vars:(Fs_trace.Cell_trace.vars trace) listener))
     trace
 
 let cache_replay trace ~layout ~cache =

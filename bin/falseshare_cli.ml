@@ -19,6 +19,7 @@
 
 open Cmdliner
 module E = Falseshare.Experiments
+module R = Falseshare.Request
 module Sim = Falseshare.Sim
 module Pipeline = Falseshare.Pipeline
 module Emit = Falseshare.Emit
@@ -31,31 +32,13 @@ module Json = Fs_obs.Json
 let wconv =
   Arg.conv
     ( (fun s ->
-        match Ws.find s with
+        match R.workload s with
         | w -> Ok w
-        | exception Not_found ->
-          let names = List.map (fun w -> w.W.name) Ws.every in
-          let hint =
-            match Fs_util.Strdist.suggest s names with
-            | [] -> "run `falseshare list` for the benchmark suite"
-            | near ->
-              Printf.sprintf "did you mean %s?"
-                (String.concat " or " (List.map (Printf.sprintf "%S") near))
-          in
-          Error (`Msg (Printf.sprintf "unknown workload %S (%s)" s hint))),
+        | exception R.Refused m -> Error (`Msg m)),
       fun fmt w -> Format.pp_print_string fmt w.W.name )
 
 let workload_arg =
   Arg.(required & pos 0 (some wconv) None & info [] ~docv:"WORKLOAD")
-
-let nprocs_arg =
-  Arg.(value & opt int 12 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
-
-let scale_arg =
-  Arg.(value & opt (some int) None & info [ "s"; "scale" ] ~docv:"N" ~doc:"Problem scale.")
-
-let block_arg =
-  Arg.(value & opt int 128 & info [ "b"; "block" ] ~docv:"BYTES" ~doc:"Cache block size.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
@@ -69,14 +52,6 @@ let jobs_arg =
                  $(b,FALSESHARE_JOBS) environment variable, else the \
                  recommended domain count).")
 
-let layout_arg =
-  Arg.(value
-       & opt (enum E.layouts) W.N
-       & info [ "layout" ] ~docv:"V"
-           ~doc:"Which layout: $(b,unoptimized), $(b,compiler), or $(b,programmer).")
-
-let scale_of w = function Some s -> s | None -> w.W.default_scale
-
 let sched_seed_arg =
   Arg.(value & opt (some int) None
        & info [ "sched-seed" ] ~docv:"SEED"
@@ -85,43 +60,62 @@ let sched_seed_arg =
                  seed reproduces the same execution bit for bit.  Ignored \
                  by the static suite.")
 
-(* Dynamic workloads refuse to run without an explicit seed: a silent
-   default would make two people's "same" run diverge the moment one of
-   them is comparing against a seeded capture. *)
-let sched_of (w : W.t) = function
-  | Some s -> Some (Fs_sched.Sched.seeded s)
-  | None when not w.W.dynamic -> None
-  | None ->
-    Printf.eprintf
-      "falseshare: %s is a dynamic workload; its schedule is decided at \
-       run time by the work-stealing runtime, so pass --sched-seed SEED \
-       (there is no silent default: the seed pins the steal schedule and \
-       makes the run reproducible).\n"
-      w.W.name;
-    exit 2
-
-(* A layout the workload does not have is a usage error, as it is a 400
-   in [serve]: one stderr line and exit 2, not an uncaught exception. *)
-let plan_of (w : W.t) version prog ~nprocs ~scale =
-  if version = W.P && not (List.mem W.P w.W.versions) then begin
-    Printf.eprintf "falseshare: %s has no programmer layout\n" w.W.name;
-    exit 2
-  end;
-  E.plan_for w version prog ~nprocs ~scale
+(* The query flags of a workload [command], as one [Request.query]: a
+   flag the command does not take stays [None], and [Request.resolve]
+   fills every default, which the help shows.  [top] documents what
+   [--top] counts. *)
+let query_term ~command ?(nprocs = true) ?(block = true) ?(seed = true)
+    ?(layout = false) ?top ?(max_iters = false) () =
+  let take on arg = if on then arg else Term.const None in
+  let int names docv absent doc =
+    Arg.(value & opt (some int) None & info names ~docv ~absent ~doc)
+  in
+  let layout_arg =
+    Arg.(value
+         & opt (some (enum R.layouts)) None
+         & info [ "layout" ] ~docv:"V"
+             ~absent:(R.layout_name (R.default_layout command))
+             ~doc:"Which layout: $(b,unoptimized), $(b,compiler), or \
+                   $(b,programmer).")
+  in
+  let make nprocs scale block layout top max_iters seed =
+    { R.nprocs; scale; block; layout; seed; top; max_iters }
+  in
+  Term.(const make
+        $ take nprocs
+            (int [ "p"; "procs" ] "P" (string_of_int R.default_nprocs) "Processor count.")
+        $ int [ "s"; "scale" ] "N" "the workload's default" "Problem scale."
+        $ take block
+            (int [ "b"; "block" ] "BYTES" (string_of_int R.default_block)
+               "Cache block size.")
+        $ take layout layout_arg
+        $ take (top <> None)
+            (int [ "top" ] "K" (string_of_int (R.default_top command))
+               (Option.value top ~default:""))
+        $ take max_iters
+            (int [ "max-iters" ] "N" (string_of_int R.default_max_iters)
+               "Cap on accepted repair iterations.")
+        $ take seed sched_seed_arg)
 
 (* For commands whose experiment drivers are defined over the static
    suite only (speedup sweeps, the paper reproductions). *)
 let reject_dynamic ~cmd (w : W.t) =
-  if w.W.dynamic then begin
-    Printf.eprintf
-      "falseshare: %s only covers the static suite; %s is a dynamic \
-       workload (run `falseshare repair --stealing` for the dynamic \
-       N/C/F comparison).\n"
-      cmd w.W.name;
-    exit 2
-  end
+  if w.W.dynamic then
+    R.refuse
+      "%s only covers the static suite; %s is a dynamic workload (run \
+       `falseshare repair --stealing` for the dynamic N/C/F comparison)."
+      cmd w.W.name
 
 let print_json j = Json.to_channel ~compact:false stdout j
+
+(* a table row's accesses, misses, false sharing and miss rate *)
+let count_cells (c : C.counts) =
+  [ string_of_int (C.accesses c); string_of_int (C.misses c);
+    string_of_int c.C.false_sh; Fs_util.Table.pct (C.miss_rate c) ]
+
+(* a result as JSON or as its text rendering *)
+let output json to_json render v =
+  if json then print_json (to_json v) else print_string (render v)
 
 (* --- telemetry plumbing ------------------------------------------- *)
 
@@ -143,7 +137,8 @@ let spans_out_arg =
    metrics registry fed by the domain pool's observer, an ambient span
    recorder rooted at the subcommand name, and the optional exports —
    flushed on success, on an exception, and (via [at_exit]) on an early
-   [exit], so a failed run still leaves its telemetry behind. *)
+   [exit], so a failed run still leaves its telemetry behind.  The scope
+   also ends every refused or faulting run with one stderr line. *)
 let with_telemetry ~cmd ~metrics_out ~spans_out f =
   let reg = Fs_obs.Metrics.global () in
   Fs_util.Par.set_observer (Some (Fs_obs.Pool.ingest reg));
@@ -174,7 +169,16 @@ let with_telemetry ~cmd ~metrics_out ~spans_out f =
   at_exit finish;
   match Fs_obs.Span.with_ recorder cmd f with
   | v -> finish (); v
-  | exception e -> finish (); raise e
+  | exception e -> (
+    finish ();
+    (* a refused query is a usage error: one stderr line and exit 2; a
+       fault of the program itself (an index out of bounds, a division
+       by zero, a deadlock) fails the run: one stderr line and exit 1 *)
+    let fail code m = Printf.eprintf "falseshare: %s\n" m; exit code in
+    match (e, R.program_fault e) with
+    | R.Refused m, _ -> fail 2 m
+    | _, Some m -> fail 1 m
+    | _, None -> raise e)
 
 (* Wrap a subcommand term in the telemetry scope.  The inner term must
    evaluate to a thunk (each [run] takes a trailing [()]), so the
@@ -269,10 +273,11 @@ let render_phases phases =
        phases)
 
 let report_cmd =
-  let run w nprocs scale block seed json () =
-    let sched = sched_of w seed in
-    let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
-    let r = Pipeline.run ?sched prog ~nprocs ~block in
+  let run w q json () =
+    let rq = R.resolve ~command:"report" (R.Workload w) q in
+    let r =
+      Pipeline.run ?sched:(R.sched rq) rq.prog ~nprocs:rq.nprocs ~block:rq.block
+    in
     if json then print_json (Json.Obj [ ("report", Emit.transform_report r.Pipeline.report);
                                         ("profile", phases_json (pipeline_phases ()));
                                         ("metrics", Fs_obs.Metrics.to_json r.metrics) ])
@@ -288,15 +293,14 @@ let report_cmd =
          "Run the compile-time analysis and print its decisions, with a \
           wall-clock profile of every pipeline phase.")
     (telemetrize "report"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ json_arg))
+       Term.(const run $ workload_arg $ query_term ~command:"report" () $ json_arg))
 
 (* --- source --- *)
 
 let source_cmd =
-  let run w nprocs scale json () =
-    let prog = w.W.build ~nprocs ~scale:(scale_of w scale) in
-    let src = Fs_ir.Pp.program_to_string prog in
+  let run w q json () =
+    let r = R.resolve ~command:"source" (R.Workload w) q in
+    let src = Fs_ir.Pp.program_to_string r.prog in
     if json then
       print_json
         (Json.Obj [ ("workload", Json.String w.W.name); ("source", Json.String src) ])
@@ -304,37 +308,21 @@ let source_cmd =
   in
   Cmd.v (Cmd.info "source" ~doc:"Print a benchmark's ParC source.")
     (telemetrize "source"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ json_arg))
+       Term.(const run $ workload_arg
+             $ query_term ~command:"source" ~block:false ~seed:false ()
+             $ json_arg))
 
 (* --- sim --- *)
 
 let sim_cmd =
-  let run w nprocs scale block seed jobs json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let versions = E.versions w prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let runs =
-      Fs_util.Par.map ~jobs
-        (fun (name, plan) ->
-          (name, Sim.cache_sim ~recorded prog plan ~nprocs ~block))
-        versions
-    in
-    if json then print_json (Emit.sim ~workload:w.W.name ~nprocs ~block runs)
+  let run w q jobs json () =
+    let r = R.resolve ~command:"sim" (R.Workload w) q in
+    let runs = R.simulate ~jobs r in
+    if json then
+      print_json (Emit.sim ~workload:r.name ~nprocs:r.nprocs ~block:r.block runs)
     else begin
       let header = [ "version"; "accesses"; "misses"; "false sharing"; "miss rate" ] in
-      let rows =
-        List.map
-          (fun (name, r) ->
-            let c = r.Sim.counts in
-            [ name;
-              string_of_int (C.accesses c);
-              string_of_int (C.misses c);
-              string_of_int c.C.false_sh;
-              Fs_util.Table.pct (C.miss_rate c) ])
-          runs
-      in
+      let rows = List.map (fun (name, r) -> name :: count_cells r.Sim.counts) runs in
       print_string (Fs_util.Table.render ~header rows)
     end
   in
@@ -344,8 +332,8 @@ let sim_cmd =
          "Trace-driven cache simulation of a benchmark: the execution is \
           interpreted once and replayed under each version's layout.")
     (telemetrize "sim"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ sched_seed_arg $ jobs_arg $ json_arg))
+       Term.(const run $ workload_arg $ query_term ~command:"sim" () $ jobs_arg
+             $ json_arg))
 
 (* --- speedup --- *)
 
@@ -357,8 +345,7 @@ let speedup_cmd =
   let run w procs jobs json () =
     reject_dynamic ~cmd:"speedup" w;
     let series = E.speedups ~procs ~names:[ w.W.name ] ~jobs () in
-    if json then print_json (Emit.series series)
-    else print_string (E.render_series series)
+    output json Emit.series E.render_series series
   in
   Cmd.v
     (Cmd.info "speedup" ~doc:"KSR2-model scalability curves for one benchmark.")
@@ -368,17 +355,10 @@ let speedup_cmd =
 (* --- hotspots --- *)
 
 let hotspots_cmd =
-  let run w nprocs scale block version seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let rows =
-      Falseshare.Attribution.attribute ~recorded prog plan ~nprocs ~block
-    in
-    if json then print_json (Emit.attribution rows)
-    else print_string (Falseshare.Attribution.render rows)
+  let run w q json () =
+    let r = R.resolve ~command:"hotspots" (R.Workload w) q in
+    let rows = R.replay r Falseshare.Attribution.attribute in
+    output json Emit.attribution Falseshare.Attribution.render rows
   in
   Cmd.v
     (Cmd.info "hotspots"
@@ -386,34 +366,22 @@ let hotspots_cmd =
          "Attribute simulated misses back to the shared data structures — \
           the dynamic counterpart of the compiler's static report.")
     (telemetrize "hotspots"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ json_arg))
+       Term.(const run $ workload_arg $ query_term ~command:"hotspots" ~layout:true ()
+             $ json_arg))
 
 (* --- blame --- *)
 
 let blame_cmd =
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K" ~doc:"How many hot blocks to list.")
-  in
   let epochs_arg =
     Arg.(value & flag
          & info [ "epochs" ]
              ~doc:"Also segment the run at barrier releases and append the \
                    per-epoch sharing profile.")
   in
-  let run w nprocs scale block version top epochs seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let b = Falseshare.Blame.analyze ~top ~recorded prog plan ~nprocs ~block in
-    let ph =
-      if epochs then
-        Some (Falseshare.Phases.analyze ~recorded prog plan ~nprocs ~block)
-      else None
-    in
+  let run w q epochs json () =
+    let r = R.resolve ~command:"blame" (R.Workload w) q in
+    let b = R.replay r (Falseshare.Blame.analyze ~top:r.top) in
+    let ph = if epochs then Some (R.replay r Falseshare.Phases.analyze) else None in
     if json then
       print_json
         (match ph with
@@ -437,21 +405,18 @@ let blame_cmd =
           (split by upgrade vs. write miss), plus the hottest blocks with \
           their owning variable and cell ranges.")
     (telemetrize "blame"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ top_arg $ epochs_arg $ sched_seed_arg $ json_arg))
+       Term.(const run $ workload_arg
+             $ query_term ~command:"blame" ~layout:true
+                 ~top:"How many hot blocks to list." ()
+             $ epochs_arg $ json_arg))
 
 (* --- phases --- *)
 
 let phases_cmd =
-  let run w nprocs scale block version seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let p = Falseshare.Phases.analyze ~recorded prog plan ~nprocs ~block in
-    if json then print_json (Emit.phases p)
-    else print_string (Falseshare.Phases.render p)
+  let run w q json () =
+    let r = R.resolve ~command:"phases" (R.Workload w) q in
+    let p = R.replay r Falseshare.Phases.analyze in
+    output json Emit.phases Falseshare.Phases.render p
   in
   Cmd.v
     (Cmd.info "phases"
@@ -461,37 +426,15 @@ let phases_cmd =
           counters and observed write-sharing, and cross-check the \
           dynamic epochs against the static non-concurrency phases.")
     (telemetrize "phases"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ json_arg))
+       Term.(const run $ workload_arg $ query_term ~command:"phases" ~layout:true () $ json_arg))
 
 (* --- hotlines --- *)
 
 let hotlines_cmd =
-  let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K" ~doc:"How many hot lines to list.")
-  in
-  (* unlike the other inspection commands, the interesting default here is
-     the compiler's layout: the lines that remain hot are exactly the ones
-     the static analysis could not fix *)
-  let layout_arg =
-    Arg.(value
-         & opt (enum E.layouts) W.C
-         & info [ "layout" ] ~docv:"V"
-             ~doc:"Which layout: $(b,unoptimized), $(b,compiler) (default), \
-                   or $(b,programmer).")
-  in
-  let run w nprocs scale block version top seed json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let recorded = Sim.record ?sched prog ~nprocs in
-    let h =
-      Falseshare.Hotlines.analyze ~top ~recorded prog plan ~nprocs ~block
-    in
-    if json then print_json (Emit.hotlines h)
-    else print_string (Falseshare.Hotlines.render h)
+  let run w q json () =
+    let r = R.resolve ~command:"hotlines" (R.Workload w) q in
+    let h = R.replay r (Falseshare.Hotlines.analyze ~top:r.top) in
+    output json Emit.hotlines Falseshare.Hotlines.render h
   in
   Cmd.v
     (Cmd.info "hotlines"
@@ -501,29 +444,16 @@ let hotlines_cmd =
           footprints, attributed to the owning variable with the \
           transformation that would fix each line.")
     (telemetrize "hotlines"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ top_arg $ sched_seed_arg $ json_arg))
+       Term.(const run $ workload_arg
+             $ query_term ~command:"hotlines" ~layout:true
+                 ~top:"How many hot lines to list." ()
+             $ json_arg))
 
 (* --- repair --- *)
 
 let repair_cmd =
   let workload_opt_arg =
     Arg.(value & pos 0 (some wconv) None & info [] ~docv:"WORKLOAD")
-  in
-  (* the natural starting point is the compiler's layout: repair is the
-     feedback pass that cleans up what the static analysis left behind *)
-  let layout_arg =
-    Arg.(value
-         & opt (enum E.layouts) W.C
-         & info [ "layout" ] ~docv:"V"
-             ~doc:"Starting layout to refine: $(b,unoptimized), \
-                   $(b,compiler) (default), or $(b,programmer).")
-  in
-  let iters_arg =
-    Arg.(value
-         & opt int Fs_feedback.Repair.default_options.max_iters
-         & info [ "max-iters" ] ~docv:"N"
-             ~doc:"Cap on accepted repair iterations.")
   in
   let stealing_arg =
     Arg.(value & flag
@@ -534,32 +464,22 @@ let repair_cmd =
                    isolated in its own columns.  Use $(b,--sched-seed) to \
                    pick the steal schedule (default 42).")
   in
-  let run w nprocs scale block version max_iters seed stealing jobs json () =
+  let run w (q : R.query) stealing jobs json () =
     match w with
     | Some w ->
-      let sched = sched_of w seed in
-      let scale = scale_of w scale in
-      let prog = w.W.build ~nprocs ~scale in
-      let plan = plan_of w version prog ~nprocs ~scale in
-      let options = { Fs_feedback.Repair.default_options with max_iters } in
-      let recorded = Sim.record ?sched prog ~nprocs in
-      let r =
-        Fs_feedback.Repair.refine ~options ~recorded prog plan ~nprocs ~block
-      in
-      if json then print_json (Fs_feedback.Repair.to_json r)
-      else print_string (Fs_feedback.Repair.render r)
+      let r = R.resolve ~command:"repair" (R.Workload w) q in
+      let options = { Fs_feedback.Repair.max_iters = r.max_iters; top = r.top } in
+      let res = R.replay r (Fs_feedback.Repair.refine ~options) in
+      output json Fs_feedback.Repair.to_json Fs_feedback.Repair.render res
     | None when stealing ->
       (* the dynamic family under the work-stealing scheduler *)
-      let seed = Option.value seed ~default:42 in
+      let seed = Option.value q.seed ~default:42 in
       let rows = Fs_feedback.Repair_experiments.stealing_table ~seed ~jobs () in
-      if json then
-        print_json (Fs_feedback.Repair_experiments.stealing_to_json rows)
-      else print_string (Fs_feedback.Repair_experiments.render_stealing rows)
+      Fs_feedback.Repair_experiments.(output json stealing_to_json render_stealing rows)
     | None ->
       (* no workload: the suite-wide N/C/P/F comparison *)
       let rows = Fs_feedback.Repair_experiments.table ~jobs () in
-      if json then print_json (Fs_feedback.Repair_experiments.to_json rows)
-      else print_string (Fs_feedback.Repair_experiments.render rows)
+      Fs_feedback.Repair_experiments.(output json to_json render rows)
   in
   Cmd.v
     (Cmd.info "repair"
@@ -571,9 +491,9 @@ let repair_cmd =
           one, print the suite-wide N/C/P/F comparison (static suite by \
           default, the dynamic work-stealing family with $(b,--stealing)).")
     (telemetrize "repair"
-       Term.(const run $ workload_opt_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ iters_arg $ sched_seed_arg $ stealing_arg
-             $ jobs_arg $ json_arg))
+       Term.(const run $ workload_opt_arg
+             $ query_term ~command:"repair" ~layout:true ~max_iters:true ()
+             $ stealing_arg $ jobs_arg $ json_arg))
 
 (* --- timeline --- *)
 
@@ -583,14 +503,12 @@ let timeline_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Output file; \"-\" for stdout.  Default: <workload>.trace.json.")
   in
-  let run w nprocs scale block version seed out () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let layout = Fs_layout.Layout.realize prog plan ~block in
+  let run w q out () =
+    let r = R.resolve ~command:"timeline" (R.Workload w) q in
+    let nprocs = r.nprocs and block = r.block in
+    let layout = Fs_layout.Layout.realize r.prog (R.plan r) ~block in
     let tl = Fs_obs.Timeline.create ~nprocs in
-    let recorded = Sim.record ?sched prog ~nprocs in
+    let recorded = R.recorded r in
     (* a cache rides along so each barrier release can drop one sample of
        the epoch's miss-class deltas onto a Chrome-trace counter track *)
     let cache = C.create (C.default_config ~nprocs ~block) in
@@ -634,8 +552,7 @@ let timeline_cmd =
           barrier waits, lock convoys — as Chrome trace-event JSON for \
           Perfetto.")
     (telemetrize "timeline"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ block_arg
-             $ layout_arg $ sched_seed_arg $ out_arg))
+       Term.(const run $ workload_arg $ query_term ~command:"timeline" ~layout:true () $ out_arg))
 
 (* --- check (.parc sources) --- *)
 
@@ -709,43 +626,31 @@ let profile_cmd =
          & info [ "flight-interval" ] ~docv:"N"
              ~doc:"Packed events between flight-recorder samples.")
   in
-  let run w nprocs scale seed jobs interval json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
+  let run w q jobs interval json () =
     (* the ambient recorder was installed by the telemetry scope; grab it
        so the report can render the tree this very command grew *)
     let recorder =
       match Fs_obs.Span.current () with Some r -> r | None -> assert false
     in
-    let prog =
-      Fs_obs.Span.timed "build" (fun () -> w.W.build ~nprocs ~scale)
-    in
-    let plan =
-      Fs_obs.Span.timed "plan" (fun () -> Sim.compiler_plan prog ~nprocs)
-    in
-    let recorded =
-      Fs_obs.Span.timed "record" (fun () -> Sim.record ?sched prog ~nprocs)
-    in
-    (* the block sweep exercises the domain pool; its stats become the
-       per-worker summary *)
-    let sweep, pool =
-      Fs_obs.Span.timed "block-sweep"
-        ~attrs:[ ("jobs", string_of_int jobs) ]
-        (fun () ->
-          Fs_util.Par.map_with_stats ~jobs
-            (fun block ->
-              (block, (Sim.cache_sim ~recorded prog plan ~nprocs ~block).Sim.counts))
-            E.profile_blocks)
-    in
-    (* one flight-instrumented fused replay at the paper's block size *)
+    let r = R.resolve ~command:"profile" (R.Workload w) q in
+    let nprocs = r.nprocs and scale = r.scale in
     let flight = Fs_replay.Flight.create ~interval () in
-    let frun =
-      Fs_obs.Span.timed "flight-replay"
-        ~attrs:[ ("interval", string_of_int interval) ]
-        (fun () ->
-          Sim.cache_sim ~flight ~recorded prog plan ~nprocs ~block:128)
+    let sweep, pool =
+      R.replay r (fun ~recorded prog plan ~nprocs ~block ->
+          (* the block sweep exercises the domain pool; its stats become
+             the per-worker summary *)
+          let sweep =
+            Fs_obs.Span.timed "block-sweep"
+              ~attrs:[ ("jobs", string_of_int jobs) ]
+              (fun () -> R.sweep ~jobs ~recorded prog plan ~nprocs ~block)
+          in
+          (* one flight-instrumented fused replay at the paper's block
+             size, the block a profile is resolved at *)
+          Fs_obs.Span.timed "flight-replay"
+            ~attrs:[ ("interval", string_of_int interval) ]
+            (fun () -> ignore (Sim.cache_sim ~flight ~recorded prog plan ~nprocs ~block));
+          sweep)
     in
-    ignore frun;
     if json then
       print_json
         (Json.Obj
@@ -784,7 +689,7 @@ let profile_cmd =
           sweep, and a flight-recorder digest of the fused replay hot \
           loop.")
     (telemetrize "profile"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ sched_seed_arg
+       Term.(const run $ workload_arg $ query_term ~command:"profile" ~block:false ()
              $ jobs_arg $ interval_arg $ json_arg))
 
 (* --- serve --- *)
@@ -828,8 +733,7 @@ let serve_cmd =
      race the worker threads *)
   let run port workers queue jobs cache_dir budget_mb debug =
     let cfg =
-      { Fs_serve.Server.default_config with
-        port; workers; queue_capacity = queue; jobs; cache_dir;
+      { Fs_serve.Server.port; workers; queue_capacity = queue; jobs; cache_dir;
         cache_budget_bytes = budget_mb * 1024 * 1024;
         debug_endpoints = debug }
     in
@@ -926,10 +830,10 @@ let print_trace_stat ~heading path =
   | _ -> assert false
 
 let trace_record_cmd =
-  let run w nprocs scale seed out block_events json () =
-    let sched = sched_of w seed in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
+  let run w q out block_events json () =
+    let r = R.resolve ~command:"trace-record" (R.Workload w) q in
+    let prog = r.prog and nprocs = r.nprocs and scale = r.scale in
+    let sched = R.sched r in
     let path = Option.value out ~default:(w.W.name ^ ".fstrace") in
     let t0 = Unix.gettimeofday () in
     (* stream straight to disk: the recording never materializes in
@@ -981,7 +885,7 @@ let trace_record_cmd =
           to disk (constant memory however long the run; use $(b,--scale) \
           to size it).")
     (telemetrize "trace-record"
-       Term.(const run $ workload_arg $ nprocs_arg $ scale_arg $ sched_seed_arg
+       Term.(const run $ workload_arg $ query_term ~command:"trace-record" ~block:false ()
              $ trace_out_arg $ block_events_arg $ json_arg))
 
 let trace_stat_cmd =
@@ -1000,13 +904,15 @@ let trace_replay_cmd =
   let workload_pos1 =
     Arg.(required & pos 1 (some wconv) None & info [] ~docv:"WORKLOAD")
   in
-  let run path w scale block version json () =
+  let run path w (q : R.query) json () =
     let s = open_trace path in
+    (* the processor count is the recording's *)
     let nprocs = Ct.Stream.nprocs s in
-    let scale = scale_of w scale in
-    let prog = w.W.build ~nprocs ~scale in
-    let plan = plan_of w version prog ~nprocs ~scale in
-    let layout = Fs_layout.Layout.realize prog plan ~block in
+    let r =
+      R.resolve ~command:"trace-replay" (R.Workload w) { q with nprocs = Some nprocs }
+    in
+    let scale = r.scale and block = r.block in
+    let layout = Fs_layout.Layout.realize r.prog (R.plan r) ~block in
     let config = C.default_config ~nprocs ~block in
     let cache = C.create ~max_addr:(Fs_layout.Layout.size layout) config in
     let t0 = Unix.gettimeofday () in
@@ -1057,17 +963,12 @@ let trace_replay_cmd =
         "replayed %s through %s/%s: %d events in %.2fs (%.1f Mevents/s, \
          %.1f MB/s read)\n"
         path w.W.name
-        (E.layout_name version)
+        (R.layout_name r.version)
         events dt
         (float_of_int events /. 1e6 /. Float.max 1e-9 dt)
         (float_of_int bytes /. mb /. Float.max 1e-9 dt);
       let header = [ "accesses"; "misses"; "false sharing"; "miss rate" ] in
-      print_string
-        (Fs_util.Table.render ~header
-           [ [ string_of_int (C.accesses c);
-               string_of_int (C.misses c);
-               string_of_int c.C.false_sh;
-               Fs_util.Table.pct (C.miss_rate c) ] ])
+      print_string (Fs_util.Table.render ~header [ count_cells c ])
     end
   in
   Cmd.v
@@ -1078,8 +979,9 @@ let trace_replay_cmd =
           read bandwidth.  The processor count comes from the trace; pass \
           the same $(b,--scale) the recording used.")
     (telemetrize "trace-replay"
-       Term.(const run $ trace_file_arg $ workload_pos1 $ scale_arg
-             $ block_arg $ layout_arg $ json_arg))
+       Term.(const run $ trace_file_arg $ workload_pos1
+             $ query_term ~command:"trace-replay" ~nprocs:false ~seed:false ~layout:true ()
+             $ json_arg))
 
 let trace_cmd =
   Cmd.group

@@ -34,21 +34,6 @@ let plan_for (w : Workload.t) version prog ~nprocs ~scale =
               invalid_arg (w.name ^ " has no programmer-optimized version"))
           | Workload.N -> assert false)
 
-let layout_name = function
-  | Workload.N -> "unoptimized"
-  | Workload.C -> "compiler"
-  | Workload.P -> "programmer"
-
-let layouts = List.map (fun v -> (layout_name v, v)) Workload.[ N; C; P ]
-
-let versions (w : Workload.t) prog ~nprocs ~scale =
-  List.map
-    (fun v -> (layout_name v, plan_for w v prog ~nprocs ~scale))
-    (if List.mem Workload.N w.versions then w.versions
-     else Workload.N :: w.versions)
-
-let profile_blocks = [ 8; 16; 32; 64; 128; 256 ]
-
 (* ------------------------------------------------------------------ *)
 (* Figure 3                                                            *)
 

@@ -18,27 +18,6 @@ val plan_for :
     (workload, version, nprocs, scale); [prog] must be the workload's
     build at that configuration. *)
 
-val layout_name : version -> string
-(** ["unoptimized"], ["compiler"] or ["programmer"]: a version's layout
-    as the CLI's [--layout], serve's ["layout"] field and the [sim] and
-    [/analyze] reports name it. *)
-
-val layouts : (string * version) list
-(** Every version under its {!layout_name}, N first. *)
-
-val versions :
-  Fs_workloads.Workload.t ->
-  Fs_ir.Ast.program ->
-  nprocs:int ->
-  scale:int ->
-  (string * Fs_layout.Plan.t) list
-(** The layouts a workload is compared under, each named by
-    {!layout_name} with its {!plan_for}: the unoptimized one first, then
-    every other version the paper evaluates. *)
-
-val profile_blocks : int list
-(** The block sizes a profile sweeps: 8 to 256 bytes. *)
-
 (** {1 Figure 3} — total miss rates split into false sharing and other
     misses, unoptimized vs compiler-transformed, per block size. *)
 

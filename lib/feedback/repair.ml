@@ -10,7 +10,9 @@ module Sim = Falseshare.Sim
 
 type options = { max_iters : int; top : int }
 
-let default_options = { max_iters = 5; top = 64 }
+let default_options =
+  { max_iters = Falseshare.Request.default_max_iters;
+    top = Falseshare.Request.default_top "repair" }
 
 (* the cost model's score penalties: per cache block of layout growth,
    and per estimated injected pointer load *)

@@ -1199,6 +1199,10 @@ let run_cells ?(max_steps = 400_000_000) ?sched prog ~nprocs ~push =
             states.(proc) <- Finished);
         exnc =
           (fun e ->
+            (* the compiled arithmetic divides with OCaml's [/] and [mod] *)
+            let e =
+              match e with Division_by_zero -> Runtime_error "division by zero" | e -> e
+            in
             (* an error in computation run ahead of the schedule is raised
                when the schedule reaches it *)
             if ctx.ahead = 0 then raise e;

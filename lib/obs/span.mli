@@ -1,9 +1,9 @@
 (** Causal spans: nested start/stop timing with parent links, wall-clock
     and allocation deltas, and structured attributes.
 
-    Where {!Profile} answers "how long did each named phase take in
-    total", a span recorder keeps the {e tree}: which phase ran inside
-    which, in what order, with what arguments.  The pipeline, the
+    A span recorder keeps the {e tree} of a run's timing: which phase
+    ran inside which, in what order, with what arguments.  It is the
+    one timer: phase totals are read off it.  The pipeline, the
     experiment drivers, the trace memo, the repair loop, and every CLI
     subcommand push spans into the ambient recorder; the result exports
     as an indented text tree, a nested JSON tree, or a Chrome-trace

@@ -1,19 +1,12 @@
-module E = Falseshare.Experiments
-module Sim = Falseshare.Sim
+module Request = Falseshare.Request
 module Emit = Falseshare.Emit
 module Trace_memo = Falseshare.Trace_memo
-module W = Fs_workloads.Workload
 module Ws = Fs_workloads.Workloads
 module Json = Fs_obs.Json
 module Span = Fs_obs.Span
 module Metrics = Fs_obs.Metrics
 module Par = Fs_util.Par
 module Singleflight = Fs_util.Singleflight
-
-(* a client's fault: becomes a 400 with this message *)
-exception Client_error of string
-
-let client_err fmt = Printf.ksprintf (fun m -> raise (Client_error m)) fmt
 
 type config = {
   port : int;
@@ -22,9 +15,7 @@ type config = {
   jobs : int;
   cache_dir : string;
   cache_budget_bytes : int;
-  recent : int;
   debug_endpoints : bool;
-  socket_timeout_s : float;
 }
 
 let default_config =
@@ -35,10 +26,14 @@ let default_config =
     jobs = Par.default_jobs ();
     cache_dir = "_falseshare_cache";
     cache_budget_bytes = Store.default_budget_bytes;
-    recent = 32;
     debug_endpoints = false;
-    socket_timeout_s = 30.0;
   }
+
+(* requests remembered for /statusz *)
+let recent = 32
+
+(* per-connection read/write timeout *)
+let socket_timeout_s = 30.0
 
 type job = {
   jid : int;
@@ -156,165 +151,73 @@ let sync_store_counters t =
 (* ------------------------------------------------------------------ *)
 (* Request parameters                                                  *)
 
-type params = {
-  pendpoint : string;
-  pprog : Fs_ir.Ast.program;
-  psource : string;  (** printed program text — the content that is addressed *)
-  pwname : string;
-  pworkload : W.t option;
-  pnprocs : int;
-  pscale : int;
-  pblock : int;
-  pversion : W.version;  (** the layout, by {!E.layout_name} *)
-  ptop : int;
-  pmax_iters : int;
-  psched_seed : int option;
-      (** required when the program spawns tasks; [None] otherwise *)
-}
-
 let parse_params endpoint (req : Http.request) =
   let j =
     match Json.of_string (if req.Http.body = "" then "{}" else req.Http.body) with
     | Ok j -> j
-    | Error m -> client_err "request body is not JSON: %s" m
+    | Error m -> Request.refuse "request body is not JSON: %s" m
   in
-  let int_field name default =
-    match Json.member name j with
-    | None -> default
-    | Some v -> (
-      match Json.get_int v with
-      | Some n -> n
-      | None -> client_err "field %S must be an integer" name)
+  let field name get what =
+    Option.map
+      (fun v ->
+        match get v with
+        | Some x -> x
+        | None -> Request.refuse "field %S must be %s" name what)
+      (Json.member name j)
   in
-  let str_field name =
-    match Json.member name j with
-    | None -> None
-    | Some v -> (
-      match Json.get_string v with
-      | Some s -> Some s
-      | None -> client_err "field %S must be a string" name)
+  let int_field name = field name Json.get_int "an integer" in
+  let str_field name = field name Json.get_string "a string" in
+  (* the daemon's resource ceilings: the program is built, recorded and
+     replayed inside the request, and its layout, the cache's arrays and
+     the interpreter's store all grow with these *)
+  let bounded name lo hi =
+    let v = int_field name in
+    (match v with
+     | Some n when n < lo || n > hi -> Request.refuse "%s must be in %d..%d" name lo hi
+     | _ -> ());
+    v
   in
-  let nprocs = int_field "nprocs" 12 in
-  if nprocs < 1 || nprocs > 64 then client_err "nprocs must be in 1..64";
-  let block = int_field "block" 128 in
-  if block < 4 || block > 4096 then client_err "block must be in 4..4096";
-  let version =
-    match str_field "layout" with
-    | None -> (
-      (* the feedback-flavored endpoints default to the compiler's layout,
-         like their CLI counterparts *)
-      match endpoint with
-      | "hotlines" | "repair" | "profile" -> W.C
-      | _ -> W.N)
-    | Some l -> (
-      match List.assoc_opt l E.layouts with
-      | Some v -> v
-      | None ->
-        client_err
-          "unknown layout %S (expected unoptimized, compiler, or programmer)"
-          l)
-  in
-  let top = int_field "top" 10 in
-  if top < 1 || top > 10_000 then client_err "top must be in 1..10000";
-  let max_iters =
-    int_field "max_iters" Fs_feedback.Repair.default_options.max_iters
-  in
-  if max_iters < 0 || max_iters > 100 then
-    client_err "max_iters must be in 0..100";
-  let sched_seed =
-    match Json.member "sched_seed" j with
-    | None -> None
-    | Some v -> (
-      match Json.get_int v with
-      | Some n -> Some n
-      | None -> client_err "field \"sched_seed\" must be an integer")
-  in
-  (* the layout, the cache's arrays and the interpreter's store all
-     grow linearly with scale, and the program is built inside the
-     request *)
-  let scale_field default =
-    let scale = int_field "scale" default in
-    if scale < 1 || scale > 64 then client_err "scale must be in 1..64";
-    scale
-  in
-  let workload, prog, scale, wname =
+  let nprocs = bounded "nprocs" 1 64 in
+  let block = bounded "block" 4 4096 in
+  let layout = Option.map Request.layout_of_name (str_field "layout") in
+  let top = bounded "top" 1 10_000 in
+  let max_iters = bounded "max_iters" 0 100 in
+  let seed = int_field "sched_seed" in
+  let scale = bounded "scale" 1 64 in
+  let target =
     match (str_field "workload", str_field "source") with
-    | Some _, Some _ -> client_err "give either \"workload\" or \"source\", not both"
-    | Some name, None -> (
-      match Ws.find name with
-      | w ->
-        let scale = scale_field w.W.default_scale in
-        (Some w, w.W.build ~nprocs ~scale, scale, w.W.name)
-      | exception Not_found ->
-        let names = List.map (fun w -> w.W.name) Ws.every in
-        let hint =
-          match Fs_util.Strdist.suggest name names with
-          | [] -> "GET /statusz lists the suite"
-          | near ->
-            Printf.sprintf "did you mean %s?"
-              (String.concat " or " (List.map (Printf.sprintf "%S") near))
-        in
-        client_err "unknown workload %S (%s)" name hint)
-    | None, Some src -> (
-      match Fs_parc.Parser.parse_and_validate src with
-      | Ok prog ->
-        (* a submitted source that spawns tasks gets the scheduler globals
-           grafted on here, like the registered dynamic workloads do in
-           their builders (instrument is the identity otherwise) *)
-        let prog = Fs_sched.Sched.instrument ~nprocs prog in
-        let scale = scale_field 1 in
-        (* the source is built as sent: a scale would only split one
-           program's results across several store entries *)
-        if Json.member "scale" j <> None then
-          client_err "scale applies only to a registered workload";
-        (None, prog, scale, "<source>")
-      | Error errs -> client_err "source does not validate: %s" (String.concat "; " errs))
-    | None, None ->
-      client_err "body must name a \"workload\" or carry ParC \"source\""
+    | Some _, Some _ -> Request.refuse "give either \"workload\" or \"source\", not both"
+    | Some name, None -> Request.Workload (Request.workload name)
+    | None, Some src -> Request.Source src
+    | None, None -> Request.refuse "body must name a \"workload\" or carry ParC \"source\""
   in
-  (* dynamic executions refuse to run without an explicit seed — a silent
-     default would let two tenants' "same" request alias different steal
-     schedules the day the default changes *)
-  (match sched_seed with
-   | None when Fs_sched.Sched.uses_tasks prog ->
-     client_err
-       "program %S spawns tasks: the work-stealing schedule needs an \
-        explicit \"sched_seed\" (an integer; same seed, same execution)"
-       wname
-   | _ -> ());
-  {
-    pendpoint = endpoint;
-    pprog = prog;
-    psource = Fs_ir.Pp.program_to_string prog;
-    pwname = wname;
-    pworkload = workload;
-    pnprocs = nprocs;
-    pscale = scale;
-    pblock = block;
-    pversion = version;
-    ptop = top;
-    pmax_iters = max_iters;
-    psched_seed = sched_seed;
-  }
+  let r =
+    Request.resolve ~command:endpoint target
+      { nprocs; scale; block; layout; seed; top; max_iters }
+  in
+  (* a task program without a seed is refused before it has a key *)
+  ignore (Request.sched r);
+  r
 
 (* every resolved parameter is part of the address: two requests whose
    defaults resolve differently must never alias *)
 let cache_version = "falseshare-serve/2"
 
-let cache_key p =
+let cache_key endpoint (r : Request.t) =
   Store.key
     [
       cache_version;
-      p.pendpoint;
-      p.pwname;
-      p.psource;
-      string_of_int p.pnprocs;
-      string_of_int p.pscale;
-      string_of_int p.pblock;
-      E.layout_name p.pversion;
-      string_of_int p.ptop;
-      string_of_int p.pmax_iters;
-      (match p.psched_seed with
+      endpoint;
+      r.name;
+      (* the printed program: the content that is addressed *)
+      Fs_ir.Pp.program_to_string r.prog;
+      string_of_int r.nprocs;
+      string_of_int r.scale;
+      string_of_int r.block;
+      Request.layout_name r.version;
+      string_of_int r.top;
+      string_of_int r.max_iters;
+      (match r.seed with
        | None -> "seed=-"
        | Some s -> Printf.sprintf "seed=%d" s);
     ]
@@ -322,107 +225,14 @@ let cache_key p =
 (* ------------------------------------------------------------------ *)
 (* Handlers: each returns the result payload as a JSON string           *)
 
-let plan_of p =
-  match (p.pworkload, p.pversion) with
-  | Some w, W.P when not (List.mem W.P w.W.versions) ->
-    client_err "workload %S has no programmer layout" w.W.name
-  | Some w, v -> E.plan_for w v p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
-  | None, W.N -> []
-  | None, W.C -> Sim.compiler_plan p.pprog ~nprocs:p.pnprocs
-  | None, W.P -> client_err "a ParC source has no programmer layout"
-
-let recorded_for p =
-  match p.pworkload with
-  | Some w ->
-    Span.timed "memo"
-      ~attrs:[ ("workload", w.W.name) ]
-      (fun () ->
-        (Trace_memo.get ?seed:p.psched_seed w ~nprocs:p.pnprocs
-           ~scale:p.pscale)
-          .Trace_memo.recorded)
-  | None ->
-    let sched = Option.map Fs_sched.Sched.seeded p.psched_seed in
-    Span.timed "record" (fun () ->
-        Sim.record ?sched p.pprog ~nprocs:p.pnprocs)
-
-let versions_of p =
-  match p.pworkload with
-  | Some w -> E.versions w p.pprog ~nprocs:p.pnprocs ~scale:p.pscale
-  | None ->
-    [ ("unoptimized", []);
-      ("compiler", Sim.compiler_plan p.pprog ~nprocs:p.pnprocs) ]
-
-let handle_analyze ~jobs p =
-  let versions = Span.timed "plan" (fun () -> versions_of p) in
-  let recorded = recorded_for p in
-  let runs =
-    Span.timed "replay"
-      ~attrs:[ ("versions", string_of_int (List.length versions)) ]
-      (fun () ->
-        Par.map ~jobs
-          (fun (name, plan) ->
-            ( name,
-              Sim.cache_sim ~recorded p.pprog plan ~nprocs:p.pnprocs
-                ~block:p.pblock ))
-          versions)
-  in
-  Emit.sim ~workload:p.pwname ~nprocs:p.pnprocs ~block:p.pblock runs
-
-let handle_blame p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.blame
-    (Span.timed "replay" (fun () ->
-         Falseshare.Blame.analyze ~top:p.ptop ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let handle_phases p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.phases
-    (Span.timed "replay" (fun () ->
-         Falseshare.Phases.analyze ~recorded p.pprog plan ~nprocs:p.pnprocs
-           ~block:p.pblock))
-
-let handle_hotlines p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  Emit.hotlines
-    (Span.timed "replay" (fun () ->
-         Falseshare.Hotlines.analyze ~top:p.ptop ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let handle_repair p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  let options =
-    { Fs_feedback.Repair.max_iters = p.pmax_iters; top = p.ptop }
-  in
-  Fs_feedback.Repair.to_json
-    (Span.timed "repair" (fun () ->
-         Fs_feedback.Repair.refine ~options ~recorded p.pprog plan
-           ~nprocs:p.pnprocs ~block:p.pblock))
-
-let handle_profile ~jobs p =
-  let plan = Span.timed "plan" (fun () -> plan_of p) in
-  let recorded = recorded_for p in
-  let sweep, pool =
-    Span.timed "replay"
-      ~attrs:[ ("jobs", string_of_int jobs) ]
-      (fun () ->
-        Par.map_with_stats ~jobs
-          (fun block ->
-            ( block,
-              (Sim.cache_sim ~recorded p.pprog plan ~nprocs:p.pnprocs ~block)
-                .Sim.counts ))
-          E.profile_blocks)
-  in
+let handle_profile ~jobs (r : Request.t) =
+  let sweep, pool = Request.replay r (Request.sweep ~jobs) in
   let module C = Fs_cache.Mpcache in
   Json.Obj
-    [ ("workload", Json.String p.pwname);
-      ("nprocs", Json.Int p.pnprocs);
-      ("scale", Json.Int p.pscale);
-      ("layout", Json.String (E.layout_name p.pversion));
+    [ ("workload", Json.String r.name);
+      ("nprocs", Json.Int r.nprocs);
+      ("scale", Json.Int r.scale);
+      ("layout", Json.String (Request.layout_name r.version));
       ("pool", Fs_obs.Pool.to_json pool);
       ( "sweep",
         Json.List
@@ -435,16 +245,22 @@ let handle_profile ~jobs p =
                    ("false_sharing", Json.Int c.C.false_sh) ])
              sweep)) ]
 
-let compute ~jobs p =
+let compute ~jobs endpoint (r : Request.t) =
   let payload =
-    match p.pendpoint with
-    | "analyze" -> handle_analyze ~jobs p
-    | "blame" -> handle_blame p
-    | "phases" -> handle_phases p
-    | "hotlines" -> handle_hotlines p
-    | "repair" -> handle_repair p
-    | "profile" -> handle_profile ~jobs p
-    | ep -> client_err "unknown endpoint %S" ep
+    match endpoint with
+    | "analyze" ->
+      Emit.sim ~workload:r.name ~nprocs:r.nprocs ~block:r.block
+        (Request.simulate ~jobs r)
+    | "blame" -> Emit.blame (Request.replay r (Falseshare.Blame.analyze ~top:r.top))
+    | "phases" -> Emit.phases (Request.replay r Falseshare.Phases.analyze)
+    | "hotlines" ->
+      Emit.hotlines (Request.replay r (Falseshare.Hotlines.analyze ~top:r.top))
+    | "repair" ->
+      let options = { Fs_feedback.Repair.max_iters = r.max_iters; top = r.top } in
+      Fs_feedback.Repair.to_json
+        (Request.replay r (Fs_feedback.Repair.refine ~options))
+    | "profile" -> handle_profile ~jobs r
+    | ep -> Request.refuse "unknown endpoint %S" ep
   in
   Json.to_string payload
 
@@ -472,12 +288,12 @@ let store_find t recorder key =
 
 (* returns (payload, served_from_store, coalesced) *)
 let run_query t recorder req endpoint =
-  let p =
+  let r =
     Span.with_ recorder "parse"
       ~attrs:[ ("bytes", string_of_int (String.length req.Http.body)) ]
       (fun () -> parse_params endpoint req)
   in
-  let key = cache_key p in
+  let key = cache_key endpoint r in
   Span.attr recorder "key" key;
   let (payload, from_store), role =
     Singleflight.run t.sf key (fun () ->
@@ -493,7 +309,7 @@ let run_query t recorder req endpoint =
                     Span.set_current (Some recorder);
                     Fun.protect
                       ~finally:(fun () -> Span.set_current None)
-                      (fun () -> compute ~jobs:t.cfg.jobs p)))
+                      (fun () -> compute ~jobs:t.cfg.jobs endpoint r)))
           in
           Span.with_ recorder "store.put" (fun () ->
               Store.put t.store key payload);
@@ -521,10 +337,8 @@ let envelope ~id ~endpoint ~cached ~coalesced ~elapsed_s ~payload ~spans =
 
 let ring_push t e =
   Mutex.protect t.qlock (fun () ->
-      if Array.length t.ring > 0 then begin
-        t.ring.(t.ring_next mod Array.length t.ring) <- Some e;
-        t.ring_next <- t.ring_next + 1
-      end)
+      t.ring.(t.ring_next mod recent) <- Some e;
+      t.ring_next <- t.ring_next + 1)
 
 let inflight_help = "Requests being served right now"
 
@@ -542,7 +356,7 @@ let handle_job t job =
               | Some v -> (
                 match float_of_string_opt v with
                 | Some s when s >= 0.0 && s <= 10.0 -> s
-                | _ -> client_err "s must be a number of seconds in 0..10")
+                | _ -> Request.refuse "s must be a number of seconds in 0..10")
               | None -> 0.05
             in
             Thread.delay s;
@@ -559,11 +373,14 @@ let handle_job t job =
           ~spans:(spans_json recorder job.jreq)
       in
       (200, body, cached, coalesced)
-    | exception Client_error m -> (400, json_error m, false, false)
-    | exception Http.Bad_request m -> (400, json_error m, false, false)
     | exception e ->
-      (500, json_error (Printf.sprintf "internal error: %s" (Printexc.to_string e)),
-       false, false)
+      let status, m =
+        match (e, Request.program_fault e) with
+        | (Request.Refused m | Http.Bad_request m), _ -> (400, m)
+        | _, Some m -> (422, m)  (* a fault of the program, not the daemon *)
+        | _, None -> (500, "internal error: " ^ Printexc.to_string e)
+      in
+      (status, json_error m, false, false)
   in
   let status, body, cached, coalesced = finishing in
   let elapsed = Unix.gettimeofday () -. job.jenq in
@@ -652,7 +469,7 @@ let statusz t =
          ( "workloads",
            Json.List
              (List.map
-                (fun (w : W.t) ->
+                (fun (w : Fs_workloads.Workload.t) ->
                   Json.Obj
                     [ ("name", Json.String w.name);
                       ("scheduling",
@@ -779,8 +596,8 @@ let route t fd (req : Http.request) =
 
 let handle_conn t fd =
   (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.socket_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.socket_timeout_s
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO socket_timeout_s;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO socket_timeout_s
    with Unix.Unix_error _ -> ());
   match Http.read_request fd with
   | None -> ( try Unix.close fd with Unix.Unix_error _ -> ())
@@ -870,7 +687,7 @@ let start cfg =
       reg_lock = Mutex.create ();
       compute_lock = Mutex.create ();
       last_store = Store.stats store;
-      ring = Array.make (max cfg.recent 0) None;
+      ring = Array.make recent None;
       ring_next = 0;
       started_at = Unix.gettimeofday ();
       accept_thread = None;

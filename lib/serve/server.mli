@@ -7,6 +7,12 @@
     envelope carrying the request id, cache/coalescing provenance, and
     the request's causal span tree.
 
+    {2 Requests}
+
+    A body is resolved by {!Falseshare.Request}, as the CLI's flags are,
+    under the daemon's own resource ceilings.  A refused request is a
+    [400]; a fault of the program itself is a [422] with its message.
+
     {2 Anatomy}
 
     An accept thread reads each request (one per connection) and answers
@@ -44,18 +50,16 @@ type config = {
   jobs : int;            (** domain fan-out available to one request *)
   cache_dir : string;    (** root of the result {!Store} *)
   cache_budget_bytes : int;
-  recent : int;          (** requests remembered for [/statusz] *)
   debug_endpoints : bool;
       (** enable [GET /sleepz?s=0.2] — a queue-occupying no-op the
           tests and benchmarks use to exercise backpressure *)
-  socket_timeout_s : float;
-      (** per-connection read/write timeout *)
 }
 
 val default_config : config
 (** Port 0, 4 workers, queue of 64, {!Fs_util.Par.default_jobs} domains,
-    [_falseshare_cache], {!Store.default_budget_bytes}, 32 recent,
-    debug endpoints off, 30 s socket timeout. *)
+    [_falseshare_cache], {!Store.default_budget_bytes}, debug endpoints
+    off.  [/statusz] remembers the last 32 requests, and each connection
+    reads and writes under a 30 s timeout. *)
 
 type t
 

@@ -213,8 +213,10 @@ let find_pdv_axis summary ~phase key ~dims =
 
 (* Flat per-process structure in the outermost dimension's index
    arithmetic: either interleaved ([k*P+pid]: equal strides, distinct
-   offset classes) or chunked ([pid*chunk+k]: disjoint dense ranges). *)
-let find_regroup summary ~phase key ~nprocs =
+   offset classes) or chunked ([pid*chunk+k]: disjoint dense ranges).
+   The regroup splits that dimension, of [extent] elements, [ways] ways,
+   so a variable it does not fit is left as it is. *)
+let find_regroup summary ~phase key ~nprocs ~extent =
   let per_pid_proj pid =
     match Summary.get summary ~phase ~pid key with
     | Some a -> projections (Rsd.Set.to_list a.writes) 0
@@ -234,8 +236,9 @@ let find_regroup summary ~phase key ~nprocs =
     let strides = List.filter_map Fun.id strides in
     let s0 = List.hd strides in
     if List.for_all (fun s -> s = s0) strides then
-      if s0 >= 2 then Some (Regroup { ways = s0; chunked = false })
-      else Some (Regroup { ways = nprocs; chunked = true })
+      let ways, chunked = if s0 >= 2 then (s0, false) else (nprocs, true) in
+      if ways >= 2 && ways <= extent then Some (Regroup { ways; chunked })
+      else None
     else None
 
 (* Weight of a key inside one phase, across processes. *)
@@ -344,7 +347,7 @@ let classify prog options summary total_write_weight (key : Summary.key) : entry
             | Some _ | None -> (
               (* the per-process structure may live in the outer index
                  arithmetic of a flat array *)
-              match find_regroup summary ~phase key ~nprocs with
+              match find_regroup summary ~phase key ~nprocs ~extent:(List.hd dims) with
               | Some d ->
                 { key; read_weight; write_weight; dominant_phase = phase;
                   per_process_writes = ppw; decision = d;
@@ -353,7 +356,7 @@ let classify prog options summary total_write_weight (key : Summary.key) : entry
                 keep "per-process writes but no single separating axis" ~ppw))
           | [ field ], _ -> (
             match gty with
-            | Ast.Array (Ast.Struct sname, _) -> (
+            | Ast.Array (Ast.Struct sname, extent) -> (
               let sdef = Ast.find_struct prog sname in
               match List.assoc_opt field sdef.fields with
               | Some (Ast.Array _) ->
@@ -365,7 +368,7 @@ let classify prog options summary total_write_weight (key : Summary.key) : entry
                 (* a scalar field, per-process because the *records* are
                    owned per-process: regroup the record array itself *)
                 let nprocs = Summary.nprocs summary in
-                match find_regroup summary ~phase key ~nprocs with
+                match find_regroup summary ~phase key ~nprocs ~extent with
                 | Some d ->
                   { key; read_weight; write_weight; dominant_phase = phase;
                     per_process_writes = ppw; decision = d;

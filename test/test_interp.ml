@@ -171,8 +171,9 @@ let test_division_by_zero () =
     dsl_prog [ ("x", int_t) ] [ fn "main" [] [ (v "x") <-- (i 1 /% ld (v "x")) ] ]
   in
   match run_quiet p with
-  | _ -> Alcotest.fail "expected Division_by_zero"
-  | exception Division_by_zero -> ()
+  | _ -> Alcotest.fail "expected a division-by-zero Runtime_error"
+  | exception Interp.Runtime_error m ->
+    Alcotest.(check string) "message" "division by zero" m
 
 let test_trace_determinism () =
   let open Dsl in
@@ -561,8 +562,8 @@ let test_error_trace_length () =
   in
   let trace = Cell_trace.create ~vars:(Interp.vars p) ~nprocs:4 in
   match Interp.run_cells p ~nprocs:4 ~push:(Cell_trace.push trace) with
-  | _ -> Alcotest.fail "expected Division_by_zero"
-  | exception Division_by_zero ->
+  | _ -> Alcotest.fail "expected a division-by-zero Runtime_error"
+  | exception Interp.Runtime_error "division by zero" ->
     Alcotest.(check int) "events at the error" pinned_error_events
       (Cell_trace.length trace)
 
@@ -628,10 +629,13 @@ let rec eval_ref env (e : Ast.expr) =
     let va = eval_ref env a in
     Value.binop op va vb
 
+(* OCaml's [Division_by_zero], which the reference raises, is the
+   interpreter's [Runtime_error] *)
 let outcome f =
   match f () with
   | v -> Ok v
-  | exception Division_by_zero -> Error "Division_by_zero"
+  | exception (Division_by_zero | Interp.Runtime_error "division by zero") ->
+    Error "division by zero"
   | exception Value.Type_error _ -> Error "Type_error"
 
 let test_typed_eval =
@@ -682,8 +686,9 @@ let suite = suite @ [ QCheck_alcotest.to_alcotest test_typed_eval ]
 (* Division by a literal.  [/] and [%] by an int literal compile to a
    multiply and shift, or a shift and mask for a power of two, on their
    fast path; every program must still compute what OCaml's [/] and
-   [mod] compute, raise [Division_by_zero] on a zero divisor, and round
-   negative dividends as OCaml does.  Each case runs a tiny program over
+   [mod] compute, fail with a division-by-zero [Runtime_error] where
+   they raise [Division_by_zero], and round negative dividends as OCaml
+   does.  Each case runs a tiny program over
    the operand shapes the compiler writes out: a private slot, any other
    int expression, and a literal, each divided by the literal [k]. *)
 

@@ -12,6 +12,7 @@ let () =
       ("transform", Test_transform.suite);
       ("workloads", Test_workloads.suite);
       ("experiments", Test_experiments.suite);
+      ("request", Test_request.suite);
       ("parc", Test_parc.suite);
       ("trace", Test_trace.suite);
       ("tracefmt", Test_tracefmt.suite);

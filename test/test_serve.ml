@@ -549,6 +549,61 @@ let test_server_sched_seed () =
       Alcotest.(check bool) "distinct seed is a distinct address" false
         (member_bool "other" (get_json "other" other) "cached"))
 
+(* The daemon resolves a request as the CLI does: a field left out takes
+   the CLI's default (repair tracks as many hot lines as the repair loop
+   does), a value no run can take is a 400, a fault of the program
+   itself is a 422 carrying its message, and the daemon goes on
+   serving. *)
+let test_server_request_model () =
+  let cache_dir = fresh_dir "request" in
+  let cfg =
+    { Srv.default_config with workers = 1; queue_capacity = 4; jobs = 1; cache_dir }
+  in
+  let t = Srv.start cfg in
+  let port = Srv.port t in
+  let normal j = Json.to_string (get_json "normalize" (Json.to_string j)) in
+  Fun.protect
+    ~finally:(fun () -> Srv.stop t)
+    (fun () ->
+      let s, _, b =
+        Http.request ~port
+          ~body:{|{"workload":"locusroute","nprocs":4,"scale":1}|} "/repair"
+      in
+      Alcotest.(check int) "repair status" 200 s;
+      let served = Option.get (Json.member "result" (get_json "repair" b)) in
+      let w = Fs_workloads.Workloads.find "locusroute" in
+      let prog = w.build ~nprocs:4 ~scale:1 in
+      let plan = Falseshare.Experiments.plan_for w W.C prog ~nprocs:4 ~scale:1 in
+      let recorded = Falseshare.Sim.record prog ~nprocs:4 in
+      let expected =
+        Fs_feedback.Repair.refine ~options:Fs_feedback.Repair.default_options
+          ~recorded prog plan ~nprocs:4 ~block:128
+      in
+      Alcotest.(check string) "repair without top = the CLI's repair"
+        (normal (Fs_feedback.Repair.to_json expected))
+        (normal served);
+      let s, _, b =
+        Http.request ~port ~body:{|{"workload":"pverify","block":12}|} "/analyze"
+      in
+      Alcotest.(check int) "block 12" 400 s;
+      Tutil.check_contains "block 12" b "block must be a power of two";
+      List.iter
+        (fun (what, body, msg) ->
+          let s, _, b = Http.request ~port ~body "/analyze" in
+          Alcotest.(check int) what 422 s;
+          Tutil.check_contains what b msg)
+        [ ( "topopt at 64 processors",
+            {|{"workload":"topopt","nprocs":64,"scale":1}|},
+            "run-time error: division by zero" );
+          ( "out-of-bounds source",
+            {|{"source":"program oob; shared int a[4]; void main() { a[pid + 10] = 1; }","nprocs":2}|},
+            "run-time error: index 10 out of bounds" ) ];
+      let s, _, _ =
+        Http.request ~port
+          ~body:{|{"workload":"pverify","nprocs":2,"scale":1}|} "/analyze"
+      in
+      Alcotest.(check int) "next request served" 200 s)
+
 let test_server_backpressure () =
   let cache_dir = fresh_dir "bp" in
   let cfg =
@@ -669,6 +724,7 @@ let suite =
     Alcotest.test_case "daemon sched seed" `Quick test_server_sched_seed;
     Alcotest.test_case "daemon scale ceiling" `Quick test_server_scale_ceiling;
     Alcotest.test_case "daemon source scale" `Quick test_server_source_scale;
+    Alcotest.test_case "daemon request model" `Quick test_server_request_model;
     Alcotest.test_case "daemon backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "daemon quitquitquit" `Quick test_server_quitquitquit;
     Alcotest.test_case "daemon concurrent forensics = sequential" `Quick

@@ -238,6 +238,27 @@ let test_plan_validates () =
         [ 2; 7; 12 ])
     Fs_workloads.Workloads.all
 
+(* A regroup splits a variable's outermost dimension one way per
+   process: past that extent (water's and fmm's 96 records at 97
+   processors) the variable is kept, and the plan still validates. *)
+let test_plan_validates_any_nprocs () =
+  List.iter
+    (fun (w : Fs_workloads.Workload.t) ->
+      List.iter
+        (fun nprocs ->
+          let prog = w.build ~nprocs ~scale:1 in
+          match T.plan prog ~nprocs with
+          | r -> Plan.validate prog r.T.plan
+          | exception Plan.Plan_error m ->
+            Alcotest.failf "%s at %d processors: %s" w.name nprocs m)
+        [ 2; 64; 97; 256 ])
+    Fs_workloads.Workloads.every;
+  let water = Fs_workloads.Workloads.find "water" in
+  let r = T.plan (water.build ~nprocs:97 ~scale:1) ~nprocs:97 in
+  match T.decision_for r "mol" with
+  | T.Keep -> ()
+  | _ -> Alcotest.fail "water's mol transformed past its extent"
+
 let test_report_renders () =
   let open Dsl in
   let p =
@@ -265,4 +286,6 @@ let suite =
     Alcotest.test_case "unit stride not padded" `Quick test_unit_stride_writes_not_padded;
     Alcotest.test_case "profile ablation" `Quick test_profile_ablation_changes_plan;
     Alcotest.test_case "workload plans validate" `Quick test_plan_validates;
+    Alcotest.test_case "workload plans validate at 2-256 processors" `Quick
+      test_plan_validates_any_nprocs;
     Alcotest.test_case "report renders" `Quick test_report_renders ]

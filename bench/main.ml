@@ -365,8 +365,17 @@ let interp_ratio () =
    of an untracked in-memory replay's events/s.  On a 2-core x86-64
    container, 12 alternating runs of each side: 0.24-0.27 with the
    inline-shift encoder, sliced CRC-32 and tighter block decoder,
-   0.15-0.17 with the codec they replaced. *)
-let codec_ratio_floor = 0.21
+   0.15-0.17 with the codec they replaced.  The floor was 0.21 until the
+   replay loop moved into [Mpcache.walk] with the hit inline, which made
+   the denominator faster but only the replay half of the codec side: in
+   10 alternating [bench ratio] runs of each engine in one session on
+   the same box, this gate's fused rate read a median of 104.0 Mevents/s
+   before and 149.8 after, and this ratio 0.15-0.20 (median 0.18),
+   against 0.23-0.24 before.  The floor is rescaled so that the absolute
+   rate it demands does not fall: 0.21 x 104.0 / 149.8 = 0.1458, rounded
+   up to 0.146 (21.9 Mevents/s of the new fused rate, against 21.8 of
+   the old). *)
+let codec_ratio_floor = 0.146
 
 let codec_ratio () =
   section "Trace codec vs fused engine (pverify, compiler plan, 128B)";

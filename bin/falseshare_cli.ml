@@ -597,7 +597,12 @@ let check_cmd =
             (List.length prog.Fs_ir.Ast.globals)
             (List.length prog.Fs_ir.Ast.funcs)
       | Some nprocs ->
-        let r = Pipeline.run prog ~nprocs ~block:128 in
+        let q =
+          { R.nprocs = Some nprocs; scale = None; block = None; layout = None;
+            seed = None; top = None; max_iters = None }
+        in
+        let rq = R.resolve ~command:"check" (R.Source src) q in
+        let r = Pipeline.run rq.R.prog ~nprocs:rq.R.nprocs ~block:rq.R.block in
         if json then
           print_json
             (Json.Obj

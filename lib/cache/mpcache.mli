@@ -103,8 +103,8 @@ type pair = {
     writes) of the longest alternating-writer run — every write in the run
     by a different processor than the one before — and [max_inval_chain]
     the longest streak of consecutive writes that each destroyed at least
-    one remote copy.  [word_writers] is the word-level footprint: bit [p]
-    of entry [w] is set when processor [p] wrote word [w]; [shared_words]
+    one remote copy.  [word_writers] is the word-level footprint: entry
+    [w] lists, ascending, the processors that wrote word [w]; [shared_words]
     counts words written by two or more processors, so
     [writers >= 2 && shared_words = 0] identifies a line whose write
     traffic is {e pure} false sharing (disjoint word footprints). *)
@@ -120,7 +120,7 @@ type line = {
   max_inval_chain : int;
   written_words : int;
   shared_words : int;
-  word_writers : int array;
+  word_writers : int list array;
 }
 
 val pingpong_score : line -> float
@@ -138,8 +138,9 @@ val create :
     address arena.  [max_addr] presizes the arrays for an arena of that
     many bytes (pass {!Fs_layout.Layout.size} of the replayed layout);
     without it the arrays start small and grow by doubling as higher
-    addresses appear.  Either way the per-reference path is
-    allocation-free unless a tracking flag is on. *)
+    addresses appear.  Either way a reference allocates only on a
+    tracking cache: the first touch of a block under [~track_blocks],
+    and the hash tables of [~track_pairs] and [~track_lines]. *)
 
 val config : t -> config
 
@@ -154,9 +155,42 @@ val access_raw : t -> proc:int -> write:bool -> addr:int -> int
     miss; bits 12 and up the [invalidated] count. *)
 
 val touch : t -> proc:int -> write:bool -> addr:int -> unit
-(** Exactly {!access} minus the boxed [outcome] — the entry point of the
-    fused replay loop, which needs the counters but not the per-reference
-    result.  Allocation-free when no tracking flag is on. *)
+(** Exactly {!access} minus the boxed [outcome], for callers that need
+    the counters but not the per-reference result. *)
+
+val walk :
+  t ->
+  addr:int array array ->
+  extra:int array array ->
+  clock:int array ->
+  hit_cycles:int ->
+  work_cpi:int ->
+  charge:(proc:int -> addr:int -> int -> unit) ->
+  other:(int -> unit) ->
+  int array ->
+  int ->
+  int ->
+  unit
+(** [walk t ~addr ~extra ... data lo hi] is the replay engine's
+    per-event loop over the packed {!Fs_trace.Cell_event}s
+    [data.(lo) .. data.(hi - 1)].  An access to cell [c] of variable [v]
+    references [addr.(v).(c)], after a read of the pointer cell
+    [extra.(v).(c)] when that is [>= 0] ([extra] is [[||]] when the
+    layout has no pointer cells).  A reference that is a plain hit (a
+    read of a valid copy, a write to a Modified one) is accounted in
+    place; any other takes {!access_raw}'s miss path (a cache created
+    with [~track_lines:true] takes {!access_raw} for every reference).
+    Every event but an access or a work event goes to [other] as packed.
+    The counts equal those of calling {!touch} on each reference in turn.
+
+    A walk with a non-empty [clock] (the KSR2 model's per-processor
+    clocks) is clocked: a plain hit advances [clock.(proc)] by
+    [hit_cycles], any other reference hands its packed outcome to
+    [charge ~proc ~addr], and a work event advances [clock.(proc)] by
+    its amount times [work_cpi].  With [[||]], [hit_cycles], [work_cpi]
+    and [charge] are ignored.
+    @raise Invalid_argument as {!access}, and when an access names a
+    variable or cell outside [addr] or [extra]. *)
 
 val sink : t -> Fs_trace.Sink.t
 (** {!touch} as a sink.  Kept for the repo benchmark ([perfbench/]),

@@ -245,14 +245,12 @@ let phases (p : Phases.t) =
                   ("write_shared",
                    Json.List
                      (List.map
-                        (fun (var, mask) ->
+                        (fun (var, procs) ->
                           Json.Obj
                             [ ("var", Json.String var);
                               ("writers",
-                               Json.List
-                                 (List.map
-                                    (fun p -> Json.Int p)
-                                    (Phases.proc_mask_list mask))) ])
+                               Json.List (List.map (fun p -> Json.Int p) procs))
+                            ])
                         e.write_shared)) ])
             p.epochs));
       ("violations",
@@ -263,10 +261,7 @@ let phases (p : Phases.t) =
                 [ ("epoch", Json.Int v.vepoch);
                   ("var", Json.String v.vvar);
                   ("writers",
-                   Json.List
-                     (List.map
-                        (fun p -> Json.Int p)
-                        (Phases.proc_mask_list v.vwriters))) ])
+                   Json.List (List.map (fun p -> Json.Int p) v.vwriters)) ])
             p.violations)) ]
 
 let hotlines (h : Hotlines.t) =

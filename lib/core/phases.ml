@@ -9,10 +9,10 @@ module Table = Fs_util.Table
 type epoch = {
   index : int;
   per_proc : Mpcache.counts array;
-  write_shared : (string * int) list;
+  write_shared : (string * int list) list;
 }
 
-type violation = { vepoch : int; vvar : string; vwriters : int }
+type violation = { vepoch : int; vvar : string; vwriters : int list }
 
 type mapping = Exact | Folded
 
@@ -31,36 +31,38 @@ let epoch_total e =
   Array.iter (Mpcache.add_into total) e.per_proc;
   total
 
-let proc_mask_list mask =
-  let rec go p acc =
-    if 1 lsl p > mask then List.rev acc
-    else go (p + 1) (if mask land (1 lsl p) <> 0 then p :: acc else acc)
-  in
-  go 0 []
-
 (* ------------------------------------------------------------------ *)
 (* Write-sharing per epoch, cut at the same barrier releases as the
    replay engine's epochs: variables written by >= 2 processors.       *)
 
 let write_shared_per_epoch trace =
-  let vars = Cell_trace.vars trace in
-  let masks = Array.make (Array.length vars) 0 in
+  let vars = Cell_trace.vars trace and nprocs = Cell_trace.nprocs trace in
+  (* per variable, its writers this epoch; [seen] marks (var, proc) *)
+  let writers = Array.make (Array.length vars) [] in
+  let seen = Bytes.make (Array.length vars * nprocs) '\000' in
   let closed = ref [] in
   let close () =
     let acc = ref [] in
     Array.iteri
-      (fun v mask ->
-        if mask land (mask - 1) <> 0 then acc := (vars.(v), mask) :: !acc)
-      masks;
+      (fun v procs ->
+        List.iter (fun p -> Bytes.set seen ((v * nprocs) + p) '\000') procs;
+        match procs with
+        | _ :: _ :: _ -> acc := (vars.(v), List.sort compare procs) :: !acc
+        | _ -> ())
+      writers;
     closed := List.sort compare !acc :: !closed;
-    Array.fill masks 0 (Array.length masks) 0
+    Array.fill writers 0 (Array.length writers) []
   in
   Cell_trace.iter_packed
     (fun packed ->
       if Cell_event.packed_is_access packed && Cell_event.packed_write packed
       then begin
         let var = Cell_event.packed_var packed in
-        masks.(var) <- masks.(var) lor (1 lsl Cell_event.packed_proc packed)
+        let p = Cell_event.packed_proc packed in
+        if Bytes.get seen ((var * nprocs) + p) = '\000' then begin
+          Bytes.set seen ((var * nprocs) + p) '\001';
+          writers.(var) <- p :: writers.(var)
+        end
       end
       else if Cell_event.packed_tag packed = Cell_event.tag_barrier_release
       then close ())
@@ -90,23 +92,21 @@ let predicted_write_shared summary =
   let nprocs = Summary.nprocs summary in
   let keys = Summary.keys summary in
   Array.init phases (fun phase ->
-      let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      (* per variable, the first writing pid; a second one makes it shared *)
+      let first : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      let shared = Hashtbl.create 16 in
       List.iter
         (fun (key : Summary.key) ->
           for pid = 0 to nprocs - 1 do
             match Summary.get summary ~phase ~pid key with
             | Some acc when not (Fs_rsd.Rsd.Set.is_empty acc.Summary.writes) ->
-              Hashtbl.replace tbl key.Summary.var
-                (1 lsl pid
-                 lor Option.value (Hashtbl.find_opt tbl key.Summary.var)
-                       ~default:0)
+              (match Hashtbl.find_opt first key.Summary.var with
+               | None -> Hashtbl.replace first key.Summary.var pid
+               | Some q ->
+                 if q <> pid then Hashtbl.replace shared key.Summary.var ())
             | _ -> ()
           done)
         keys;
-      let shared = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun var mask -> if mask land (mask - 1) <> 0 then Hashtbl.replace shared var ())
-        tbl;
       shared)
 
 let cross_check prog ~nprocs epochs =
@@ -176,9 +176,8 @@ let fs_matrix t =
 
 (* ------------------------------------------------------------------ *)
 
-let procs_to_string mask =
-  String.concat ","
-    (List.map (Printf.sprintf "P%d") (proc_mask_list mask))
+let procs_to_string procs =
+  String.concat "," (List.map (Printf.sprintf "P%d") procs)
 
 let render t =
   let buf = Buffer.create 4096 in

@@ -33,15 +33,15 @@ type epoch = {
   index : int;
   per_proc : Fs_cache.Mpcache.counts array;
       (** this epoch's counter deltas, one per processor *)
-  write_shared : (string * int) list;
+  write_shared : (string * int list) list;
       (** variables written by >= 2 processors within the epoch, with the
-          bitmask of writing processors *)
+          writing processors, ascending *)
 }
 
 type violation = {
   vepoch : int;
   vvar : string;
-  vwriters : int;  (** bitmask of observed writers *)
+  vwriters : int list;  (** observed writers, ascending *)
 }
 
 type mapping =
@@ -61,9 +61,6 @@ type t = {
 
 val epoch_total : epoch -> Fs_cache.Mpcache.counts
 (** Sum of the epoch's per-processor counters. *)
-
-val proc_mask_list : int -> int list
-(** The set bits of a processor bitmask, ascending. *)
 
 val analyze :
   recorded:Sim.recorded ->

@@ -77,9 +77,9 @@ let lock_blocks prog layout ~block =
     prog.Ast.globals;
   tbl
 
-(* Per-cell writer masks read off the tracked lines: bit [p] of the mask is
-   set when processor [p] wrote the cell's word; -1 when the cell's line
-   was not tracked. *)
+(* Per-cell writer sets read off the tracked lines: the processors that
+   wrote the cell's word, ascending; [None] when the cell's line was not
+   tracked. *)
 let cell_masks (h : Hotlines.t) layout var ncells =
   let block = h.Hotlines.block in
   let lines = Hashtbl.create 16 in
@@ -92,10 +92,10 @@ let cell_masks (h : Hotlines.t) layout var ncells =
   Array.init ncells (fun c ->
       let addr = vl.Layout.addr.(c) in
       match Hashtbl.find_opt lines (addr / block) with
-      | Some ww -> ww.((addr mod block) / Ast.word_size)
-      | None -> -1)
+      | Some ww -> Some ww.((addr mod block) / Ast.word_size)
+      | None -> None)
 
-(* Lengths of maximal runs of equal, known, written masks. *)
+(* Lengths of maximal runs of equal, known, written sets. *)
 let mask_runs masks =
   let runs = ref [] in
   let n = Array.length masks in
@@ -106,7 +106,7 @@ let mask_runs masks =
     while !j < n && masks.(!j) = m do
       incr j
     done;
-    if m > 0 then runs := (!j - !i) :: !runs;
+    (match m with Some (_ :: _) -> runs := (!j - !i) :: !runs | _ -> ());
     i := !j
   done;
   List.rev !runs
@@ -127,9 +127,9 @@ let mode_run runs =
       | _ -> Some (len, cnt))
     tbl None
 
-(* Infer the dynamic partitioning of an array from the word-writer masks:
+(* Infer the dynamic partitioning of an array from the word-writer sets:
    runs of adjacent cells sharing a writer set are contiguous partitions
-   (regroup chunked so each starts on a block boundary); a periodic mask
+   (regroup chunked so each starts on a block boundary); a periodic set
    over the outer index is a strided partition. *)
 let infer_partition prog (h : Hotlines.t) layout var ty =
   match ty with
@@ -138,10 +138,14 @@ let infer_partition prog (h : Hotlines.t) layout var ty =
     let ncells = cells_per_outer * d0 in
     let masks = cell_masks h layout var ncells in
     let known =
-      Array.fold_left (fun n m -> if m >= 0 then n + 1 else n) 0 masks
+      Array.fold_left (fun n m -> if m <> None then n + 1 else n) 0 masks
     in
     let distinct = Hashtbl.create 8 in
-    Array.iter (fun m -> if m > 0 then Hashtbl.replace distinct m ()) masks;
+    Array.iter
+      (function
+        | Some (_ :: _ as m) -> Hashtbl.replace distinct m ()
+        | _ -> ())
+      masks;
     if 2 * known < ncells || Hashtbl.length distinct < 2 then None
     else
       match mode_run (mask_runs masks) with
@@ -159,7 +163,8 @@ let infer_partition prog (h : Hotlines.t) layout var ty =
           let valid p =
             let ok = ref true in
             for i = 0 to d0 - 1 - p do
-              if om.(i) >= 0 && om.(i + p) >= 0 && om.(i) <> om.(i + p) then
+              if om.(i) <> None && om.(i + p) <> None && om.(i) <> om.(i + p)
+              then
                 ok := false
             done;
             !ok

@@ -31,61 +31,29 @@ let oracle layout ~vars =
    no event unpacking and no per-event allocation.  One loop serves every
    source: an in-memory trace is read chunk by chunk in place (cut also
    at the flight interval when a recorder samples it), an on-disk trace
-   one chunk per block, decoded into a single reused buffer.  Every body
-   keeps its state in the call that runs it, so replays may run at once. *)
+   one chunk per block, decoded into a single reused buffer.  The
+   per-event loop of the cache and KSR2 bodies is [Mpcache.walk], next to
+   the coherence state it updates; every body keeps its state in the
+   call that runs it, so replays may run at once. *)
 
 type run = { counts : Mpcache.counts; epochs : Mpcache.counts array array }
 
-(* The cache bodies over events [lo .. hi - 1] of one chunk.  Only
-   indirection layouts inject pointer cells, so the per-event pointer-read
-   check lives in its own body.  Epochs are cut in the non-access branch,
-   which costs the access path nothing: a snapshot of the per-processor
-   counts at every [Barrier_release], most recent first in [cuts].
+(* the pointer-cell maps [Mpcache.walk] takes: none when no variable has
+   a pointer cell, which spares the loop its per-access check *)
+let pointer_cells o =
+  if Array.exists (fun ex -> Array.length ex > 0) o.extra then o.extra
+  else [||]
 
-   The field shifts are written inline, not through the [Cell_event.packed_*]
-   accessors: the dev profile compiles every library [-opaque], so each
-   accessor would be an indirect call per event.  They mirror the bit
-   layout documented in [Cell_event] (tag bits 0-2, write bit 3, proc
-   bits 4-11, var bits 12-19, cell bits 20+); the replay = listener
-   property tests and the pack/unpack round trip pin them down. *)
+(* Epochs are cut in the non-access branch, which costs the access path
+   nothing: a snapshot of the per-processor counts at every
+   [Barrier_release], most recent first in [cuts]. *)
 let cut cache cuts =
   cuts := Array.map Mpcache.copy_counts (Mpcache.proc_counts cache) :: !cuts
 
-let walk_plain cache addr cuts data lo hi =
-  for i = lo to hi - 1 do
-    let packed = Array.unsafe_get data i in
-    let tag = packed land 7 in
-    if tag = Cell_event.tag_access then
-      Mpcache.touch cache
-        ~proc:((packed lsr 4) land 0xff)
-        ~write:(packed land 8 <> 0)
-        ~addr:addr.((packed lsr 12) land 0xff).(packed lsr 20)
-    else if tag = Cell_event.tag_barrier_release then cut cache cuts
-  done
-
-let walk_extra cache addr extra cuts data lo hi =
-  for i = lo to hi - 1 do
-    let packed = Array.unsafe_get data i in
-    let tag = packed land 7 in
-    if tag = Cell_event.tag_access then begin
-      let proc = (packed lsr 4) land 0xff in
-      let cell = packed lsr 20 in
-      let var = (packed lsr 12) land 0xff in
-      let ex = extra.(var) in
-      (* an indirection layout interposes a pointer cell: the read of
-         the pointer happens before the data reference it redirects *)
-      if Array.length ex > 0 && ex.(cell) >= 0 then
-        Mpcache.touch cache ~proc ~write:false ~addr:ex.(cell);
-      Mpcache.touch cache ~proc ~write:(packed land 8 <> 0)
-        ~addr:addr.(var).(cell)
-    end
-    else if tag = Cell_event.tag_barrier_release then cut cache cuts
-  done
-
-(* The full-event bodies match on the [Cell_event] tag values and
-   mirror [packed_amount], [packed_grant_from1] and [packed_grant_cell];
-   steals carry no address and are dropped: the deque traffic a steal
-   caused is already in the stream as accesses. *)
+(* The full-event body for a listener decodes inline as [Mpcache.walk]
+   does, and mirrors [packed_amount], [packed_grant_from1] and
+   [packed_grant_cell]; steals carry no address and are dropped: the
+   deque traffic a steal caused is already in the stream as accesses. *)
 let walk_full addr extra (l : Listener.t) data lo hi =
   for i = lo to hi - 1 do
     let packed = Array.unsafe_get data i in
@@ -109,50 +77,21 @@ let walk_full addr extra (l : Listener.t) data lo hi =
     | _ -> ()
   done
 
-(* The KSR2 body writes the model's two common cases in place — a hit
-   ([Mpcache.access_raw] returns 0) and a work event advance the clock,
-   as [Ksr.charge] and [Ksr.listener] do — and hands the rest to the
-   model's code, which ignores lock addresses and lock waits. *)
-let[@inline] machine_step m cache clock hit ~proc ~write ~addr =
-  let raw = Mpcache.access_raw cache ~proc ~write ~addr in
-  if raw = 0 then clock.(proc) <- clock.(proc) + hit
-  else Ksr.charge m ~proc ~addr raw
-
-let walk_machine m addr extra data lo hi =
-  let cache = Ksr.cache m and clock = Ksr.clocks m and l = Ksr.listener m in
-  let { Ksr.hit_cycles = hit; work_cpi = cpi; _ } = Ksr.config m in
-  for i = lo to hi - 1 do
-    let packed = Array.unsafe_get data i in
-    let proc = (packed lsr 4) land 0xff in
-    match packed land 7 with
-    | 0 ->
-      let var = (packed lsr 12) land 0xff and cell = packed lsr 20 in
-      let ex = extra.(var) in
-      if Array.length ex > 0 && ex.(cell) >= 0 then
-        machine_step m cache clock hit ~proc ~write:false ~addr:ex.(cell);
-      machine_step m cache clock hit ~proc ~write:(packed land 8 <> 0)
-        ~addr:addr.(var).(cell)
-    | 1 -> clock.(proc) <- clock.(proc) + ((packed lsr 12) * cpi)
-    | 2 -> l.barrier_arrive ~proc
-    | 3 -> l.barrier_release ()
-    | 5 -> l.lock_grant ~proc ~addr:0 ~from:(((packed lsr 20) land 0x1ff) - 1)
-    | _ -> ()
-  done
-
 (* [source f] calls [f data lo hi] for each chunk, in trace order. *)
 let run_chunks ?flight ~vars ~layout ~cache source =
   let o = oracle layout ~vars in
-  let addr = o.addr and extra = o.extra in
-  let walk =
-    if Array.exists (fun ex -> Array.length ex > 0) extra then
-      walk_extra cache addr extra
-    else walk_plain cache addr
-  in
+  let addr = o.addr in
   let cuts = ref [] in
+  let walk =
+    Mpcache.walk cache ~addr ~extra:(pointer_cells o) ~clock:[||]
+      ~hit_cycles:0 ~work_cpi:0 ~charge:(fun ~proc:_ ~addr:_ _ -> ())
+      ~other:(fun packed ->
+        if packed land 7 = Cell_event.tag_barrier_release then cut cache cuts)
+  in
   (* [finish] runs after the last chunk *)
   let chunk, finish =
     match flight with
-    | None -> ((fun data lo hi -> walk cuts data lo hi), ignore)
+    | None -> (walk, ignore)
     | Some fr ->
       (* block size is a power of two (enforced by Mpcache) *)
       let bshift =
@@ -171,7 +110,7 @@ let run_chunks ?flight ~vars ~layout ~cache source =
       in
       Flight.start fr;
       ( (fun data lo hi ->
-          walk cuts data lo hi;
+          walk data lo hi;
           pos := !pos + (hi - lo);
           (* off the hot path: one backward scan per chunk, which almost
              always stops within a few events; a chunk without an access
@@ -237,9 +176,24 @@ let drive trace ~layout ~listener =
   let o = oracle layout ~vars:(Cell_trace.vars trace) in
   trace_chunks trace (walk_full o.addr o.extra listener)
 
+(* The KSR2 body: a plain hit and a work event advance the clock in
+   [Mpcache.walk], as [Ksr.charge] and [Ksr.listener] do; every other
+   access goes to [Ksr.charge], and the model's listener hears barriers
+   and lock grants (it ignores lock addresses and lock waits). *)
 let machine trace ~layout m =
   let o = oracle layout ~vars:(Cell_trace.vars trace) in
-  trace_chunks trace (walk_machine m o.addr o.extra)
+  let l = Ksr.listener m in
+  let { Ksr.hit_cycles; work_cpi; _ } = Ksr.config m in
+  trace_chunks trace
+    (Mpcache.walk (Ksr.cache m) ~addr:o.addr ~extra:(pointer_cells o)
+       ~clock:(Ksr.clocks m) ~hit_cycles ~work_cpi ~charge:(Ksr.charge m)
+       ~other:(fun packed ->
+         let proc = (packed lsr 4) land 0xff in
+         match packed land 7 with
+         | 2 -> l.barrier_arrive ~proc
+         | 3 -> l.barrier_release ()
+         | 5 -> l.lock_grant ~proc ~addr:0 ~from:(((packed lsr 20) land 0x1ff) - 1)
+         | _ -> ()))
 
 let simulate_stream stream ~layout ~cache =
   run_chunks ~vars:(Cell_trace.Stream.vars stream) ~layout ~cache (fun f ->

@@ -22,7 +22,7 @@ type entry = {
 }
 
 type binfo = {
-  mutable mask : int;
+  sharers : bool array;  (* per processor: holds a valid copy *)
   mutable owner : int;
   mutable last_writer : int;
   wproc : int array;
@@ -72,7 +72,7 @@ let binfo_of t b =
   | None ->
     let words = t.cfg.C.block / word_size in
     let bi =
-      { mask = 0; owner = -1; last_writer = -1;
+      { sharers = Array.make t.cfg.C.nprocs false; owner = -1; last_writer = -1;
         wproc = Array.make words (-1); wtime = Array.make words 0 }
     in
     Hashtbl.add t.blocks b bi;
@@ -83,7 +83,7 @@ let invalidate t bi b ~victim =
   let e = entry_of pc b in
   e.state <- 0;
   e.lost <- Invalidated t.time;
-  bi.mask <- bi.mask land lnot (1 lsl victim);
+  bi.sharers.(victim) <- false;
   if bi.owner = victim then bi.owner <- -1;
   let set = b mod t.nsets in
   pc.sets.(set) <- List.filter (fun b' -> b' <> b) pc.sets.(set);
@@ -92,11 +92,9 @@ let invalidate t bi b ~victim =
   c.C.invalidations <- c.C.invalidations + 1
 
 let invalidate_others t bi b ~keep =
-  let mask = bi.mask land lnot (1 lsl keep) in
-  if mask <> 0 then
-    for q = 0 to t.cfg.C.nprocs - 1 do
-      if mask land (1 lsl q) <> 0 then invalidate t bi b ~victim:q
-    done
+  for q = 0 to t.cfg.C.nprocs - 1 do
+    if q <> keep && bi.sharers.(q) then invalidate t bi b ~victim:q
+  done
 
 let install t ~proc b =
   let pc = t.procs.(proc) in
@@ -120,7 +118,7 @@ let install t ~proc b =
       ve.state <- 0;
       ve.lost <- Evicted;
       let vbi = binfo_of t vb in
-      vbi.mask <- vbi.mask land lnot (1 lsl proc);
+      vbi.sharers.(proc) <- false;
       if vbi.owner = proc then vbi.owner <- -1;
       pc.sets.(set) <- List.filter (fun b' -> b' <> vb) pc.sets.(set)
   end;
@@ -179,7 +177,7 @@ let sink t ~proc ~write ~addr =
       e.state <- 2;
       e.lost <- Never;
       e.last_use <- t.time;
-      bi.mask <- bi.mask lor (1 lsl proc);
+      bi.sharers.(proc) <- true;
       bi.owner <- proc;
       note_write ();
       count (fun c -> bump_kind c kind)
@@ -198,7 +196,7 @@ let sink t ~proc ~write ~addr =
       e.state <- 1;
       e.lost <- Never;
       e.last_use <- t.time;
-      bi.mask <- bi.mask lor (1 lsl proc);
+      bi.sharers.(proc) <- true;
       count (fun c -> bump_kind c kind)
   end
 

@@ -169,8 +169,8 @@ let test_line_tracking () =
       (C.pingpong_score l0);
     Alcotest.(check int) "two words written" 2 l0.C.written_words;
     Alcotest.(check int) "no word has two writers" 0 l0.C.shared_words;
-    Alcotest.(check int) "word 0 writer mask" 0b0001 l0.C.word_writers.(0);
-    Alcotest.(check int) "word 1 writer mask" 0b0010 l0.C.word_writers.(1);
+    Alcotest.(check (list int)) "word 0 writers" [ 0 ] l0.C.word_writers.(0);
+    Alcotest.(check (list int)) "word 1 writers" [ 1 ] l0.C.word_writers.(1);
     Alcotest.(check int) "other line single writer" 1 l10.C.writers;
     Alcotest.(check int) "other line no migrations" 0 l10.C.migrations;
     Alcotest.(check (float 1e-9)) "other line score" 0.0 (C.pingpong_score l10)
@@ -252,6 +252,46 @@ let test_bad_config () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+(* Sharer sets hold every processor: at 64 and more processors, the
+   highest processor's copy is invalidated by a write to another word of
+   its block, charged to that processor, and its re-read is a
+   false-sharing miss. *)
+let test_many_processors () =
+  List.iter
+    (fun nprocs ->
+      let t = mk ~nprocs ~block:64 ~cache_bytes:4096 () in
+      let reader = nprocs - 1 in
+      ignore (rd t reader 0);
+      ignore (wr t 0 4);
+      let what = Printf.sprintf "p=%d" nprocs in
+      Alcotest.(check bool) (what ^ ": reader invalidated") true
+        (C.state_of t ~proc:reader ~addr:0 = `Invalid);
+      Alcotest.(check int) (what ^ ": one invalidation") 1
+        (C.counts t).C.invalidations;
+      Alcotest.(check int) (what ^ ": charged to the reader") 1
+        (C.proc_counts t).(reader).C.invalidations;
+      Alcotest.(check bool) (what ^ ": re-read is false sharing") true
+        (kind (rd t reader 0) = Some C.False_sharing))
+    [ 63; 64; 101; 256 ]
+
+(* The engine against the reference model on a random reference stream
+   over 100 processors, where the sharer set spans two words. *)
+let test_many_processors_vs_reference () =
+  let nprocs = 100 in
+  let config = { C.nprocs; block = 32; cache_bytes = 512; assoc = 2 } in
+  let t = C.create config and reference = Legacy_cache.create config in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 20_000 do
+    let proc = Random.State.int rng nprocs
+    and write = Random.State.bool rng
+    and addr = 4 * Random.State.int rng 256 in
+    C.touch t ~proc ~write ~addr;
+    Legacy_cache.sink reference ~proc ~write ~addr
+  done;
+  Alcotest.(check bool) "counts" true (C.counts t = Legacy_cache.counts reference);
+  Alcotest.(check bool) "per-processor counts" true
+    (C.proc_counts t = Legacy_cache.proc_counts reference)
+
 let suite =
   [ Alcotest.test_case "cold then hit" `Quick test_cold_then_hit;
     Alcotest.test_case "msi states" `Quick test_msi_states;
@@ -273,4 +313,8 @@ let suite =
     Alcotest.test_case "counts arithmetic" `Quick test_counts_arithmetic;
     Alcotest.test_case "miss rates" `Quick test_miss_rates;
     Alcotest.test_case "touch matches access" `Quick test_touch_matches_access;
-    Alcotest.test_case "bad config" `Quick test_bad_config ]
+    Alcotest.test_case "bad config" `Quick test_bad_config;
+    Alcotest.test_case "sharer sets past 63 processors" `Quick
+      test_many_processors;
+    Alcotest.test_case "100 processors = reference model" `Quick
+      test_many_processors_vs_reference ]

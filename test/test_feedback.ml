@@ -22,7 +22,7 @@ module R = Fs_feedback.Repair
 let block = 64
 
 let mkline ?(reads = 40) ?(writes = 40) ?(writers = 2) blk ww =
-  let written = Array.fold_left (fun n m -> if m > 0 then n + 1 else n) 0 ww in
+  let written = Array.fold_left (fun n m -> if m <> [] then n + 1 else n) 0 ww in
   {
     C.line_block = blk;
     line_reads = reads;
@@ -51,9 +51,11 @@ let report ~nprocs hots =
   { H.nprocs; block; total = cnt 0; hot = hots; dropped = 0 }
 
 let words masks =
-  (* a word_writers array for one [block]-byte line *)
+  (* a word_writers array for one [block]-byte line, from a bit mask of
+     writers per word *)
+  let writers m = List.filter (fun p -> m land (1 lsl p) <> 0) [ 0; 1; 2; 3 ] in
   Array.init (block / Ast.word_size) (fun w ->
-      if w < Array.length masks then masks.(w) else 0)
+      if w < Array.length masks then writers masks.(w) else [])
 
 let kind_in cands pred = List.exists (fun (c : R.candidate) -> pred c) cands
 

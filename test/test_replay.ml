@@ -152,22 +152,6 @@ let test_fused_equivalence () =
         [ W.N; W.C ])
     Ws.all
 
-(* Without a ~max_addr hint the cache's flat arrays grow on demand; the
-   counts must not depend on the presizing. *)
-let test_fused_growth () =
-  let w = Ws.find "topopt" in
-  let nprocs = 4 in
-  let prog = w.W.build ~nprocs ~scale:1 in
-  let trace, _ = Interp.record prog ~nprocs in
-  let layout = Layout.default prog ~block:16 in
-  let cfg = Fs_cache.Mpcache.default_config ~nprocs ~block:16 in
-  let hinted = Fs_cache.Mpcache.create ~max_addr:(Layout.size layout) cfg in
-  ignore (Replay.simulate trace ~layout ~cache:hinted);
-  let grown = Fs_cache.Mpcache.create cfg in
-  ignore (Replay.simulate trace ~layout ~cache:grown);
-  Alcotest.(check bool) "growable arrays match presized" true
-    (Fs_cache.Mpcache.counts hinted = Fs_cache.Mpcache.counts grown)
-
 (* ------------------------------------------------------------------ *)
 (* Packing and disk round-trips                                         *)
 
@@ -521,6 +505,128 @@ let test_chunked_replay () =
     (List.map fst samples);
   Alcotest.(check bool) "sample counts and blocks" true (samples = samples')
 
+(* The engine's loop performs a hit in place and allocates nothing per
+   access: an untracked and a block-tracked replay of pverify allocate
+   at most 0.01 minor words per access, beyond the tracked cache's
+   first touch of each block (its counts record and option cell) and
+   the per-barrier epoch snapshots. *)
+let test_replay_allocation () =
+  let module C = Fs_cache.Mpcache in
+  let nprocs = 8 in
+  let prog = (Ws.find "pverify").W.build ~nprocs ~scale:2 in
+  let trace = fst (Interp.record prog ~nprocs) in
+  let layout = Layout.default prog ~block:64 in
+  let releases = ref 0 in
+  Cell_trace.iter_packed
+    (fun p ->
+      if Cell_event.packed_tag p = Cell_event.tag_barrier_release then
+        incr releases)
+    trace;
+  List.iter
+    (fun track_blocks ->
+      let cache =
+        C.create ~track_blocks ~max_addr:(Layout.size layout)
+          (C.default_config ~nprocs ~block:64)
+      in
+      let before = Gc.minor_words () in
+      let run = Replay.simulate trace ~layout ~cache in
+      let words = Gc.minor_words () -. before in
+      let accesses = C.accesses run.Replay.counts in
+      let blocks = if track_blocks then List.length (C.per_block cache) else 0 in
+      (* a snapshot is an array of [nprocs] 9-word records, plus a list cell *)
+      let snapshots = (!releases + 1) * ((10 * nprocs) + 8) in
+      let first_touch = 12 * blocks in
+      let per_access =
+        (words -. float_of_int (snapshots + first_touch))
+        /. float_of_int accesses
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words per access over %d accesses"
+           (if track_blocks then "tracked" else "untracked")
+           per_access accesses)
+        true (per_access <= 0.01))
+    [ false; true ]
+
+(* A cache created without [~max_addr] grows while the loop walks a
+   chunk, so the loop must follow the miss path's fresh arrays.  The
+   grown cache's counts, per-block table and epochs must equal a
+   presized cache's, and its counts the listener reference's. *)
+let test_fused_growth () =
+  let module C = Fs_cache.Mpcache in
+  let nprocs = 4 in
+  List.iter
+    (fun (name, scale, block) ->
+      let prog = (Ws.find name).W.build ~nprocs ~scale in
+      let trace = fst (Interp.record prog ~nprocs) in
+      let layout = Layout.default prog ~block in
+      (* the arrays start at 1024 blocks *)
+      Alcotest.(check bool) (name ^ ": layout outgrows the initial arrays")
+        true
+        (Layout.size layout > 1024 * block);
+      let cfg = C.default_config ~nprocs ~block in
+      let reference = C.create ~track_blocks:true cfg in
+      Tutil.cache_replay trace ~layout ~cache:reference;
+      let hinted =
+        C.create ~track_blocks:true ~max_addr:(Layout.size layout) cfg
+      in
+      let presized = Replay.simulate trace ~layout ~cache:hinted in
+      let grown = C.create ~track_blocks:true cfg in
+      let run = Replay.simulate trace ~layout ~cache:grown in
+      Alcotest.(check bool) (name ^ ": counts = reference") true
+        (C.counts reference = run.Replay.counts
+        && C.proc_counts reference = C.proc_counts grown);
+      Alcotest.(check bool) (name ^ ": per-block = reference") true
+        (C.per_block reference = C.per_block grown);
+      Alcotest.(check bool) (name ^ ": per-block = presized") true
+        (C.per_block hinted = C.per_block grown);
+      Alcotest.(check bool) (name ^ ": epochs = presized") true
+        (presized.Replay.epochs = run.Replay.epochs))
+    [ ("maxflow", 4, 16); ("water", 8, 4) ]
+
+(* [Replay.machine]'s KSR2 body against the same model hearing the same
+   recording through [Ksr.listener], driven by [Replay.drive]: every
+   workload under both layouts at 4 and 12 processors.  The model's
+   cache grows as it goes (it is created without [~max_addr]). *)
+let test_ksr_engine_vs_listener () =
+  let module Ksr = Fs_machine.Ksr in
+  List.iter
+    (fun nprocs ->
+      List.iter
+        (fun (w : W.t) ->
+          let sched =
+            if w.W.dynamic then Some (Fs_sched.Sched.seeded 1) else None
+          in
+          let prog = w.build ~nprocs ~scale:1 in
+          let recorded = Sim.record ?sched prog ~nprocs in
+          List.iter
+            (fun version ->
+              let plan = E.plan_for w version prog ~nprocs ~scale:1 in
+              let config = Ksr.default_config ~nprocs in
+              let layout = Layout.realize prog plan ~block:config.Ksr.block in
+              let engine = Ksr.create config and live = Ksr.create config in
+              Replay.machine recorded.Sim.trace ~layout engine;
+              Replay.drive recorded.Sim.trace ~layout
+                ~listener:(Ksr.listener live);
+              let e = Ksr.finish engine and l = Ksr.finish live in
+              let what =
+                Printf.sprintf "%s/%s p=%d" w.name
+                  (W.version_to_string version) nprocs
+              in
+              Alcotest.(check int) (what ^ ": cycles") l.Ksr.cycles e.Ksr.cycles;
+              Alcotest.(check (array int)) (what ^ ": per_proc") l.Ksr.per_proc
+                e.Ksr.per_proc;
+              Alcotest.(check (array int)) (what ^ ": mem_stall")
+                l.Ksr.mem_stall e.Ksr.mem_stall;
+              Alcotest.(check (array int)) (what ^ ": sync_stall")
+                l.Ksr.sync_stall e.Ksr.sync_stall;
+              Alcotest.(check (array int)) (what ^ ": lock_stall")
+                l.Ksr.lock_stall e.Ksr.lock_stall;
+              Alcotest.(check bool) (what ^ ": cache") true
+                (l.Ksr.cache = e.Ksr.cache))
+            [ W.N; W.C ])
+        Ws.every)
+    [ 4; 12 ]
+
 let suite =
   [ Alcotest.test_case "replay equivalence (all benchmarks)" `Quick
       test_equivalence;
@@ -543,4 +649,8 @@ let suite =
     Alcotest.test_case "KSR2 engine = interpreter (every workload x {N,C})"
       `Quick test_ksr_engine_vs_interp;
     Alcotest.test_case "chunked recording replays as one array" `Quick
-      test_chunked_replay ]
+      test_chunked_replay;
+    Alcotest.test_case "no allocation per access" `Quick
+      test_replay_allocation;
+    Alcotest.test_case "KSR2 engine = listener (every workload x {N,C} x {4,12})"
+      `Quick test_ksr_engine_vs_listener ]
